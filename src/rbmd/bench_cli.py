@@ -7,7 +7,7 @@ Subcommands (all read a JSON config and write into an output directory):
   compare      seeded replication sweep over several optimizers
   figure-data  melt trace CSVs of a finished run into long-format series
 
-Exit codes: 0 success, 1 config/IO error, 2 convergence failure.
+Exit codes: 0 success, 1 config/IO error, 2 convergence or numerics failure.
 """
 
 import argparse
@@ -357,12 +357,13 @@ def _jsonable(value):
 
 def write_trace_csv(path: Path, result: md.RunResult, schedule: md.StepSchedule) -> None:
     gaps = dict(result.gap_trace)
+    xis = dict(result.xi_trace)
     header = None
     rows = []
     for k, y in result.y_trace:
         if header is None:
             header = ["iter", "gamma", "gap", "xi"] + [f"y_{i + 1}" for i in range(y.size)]
-        xi = dict(result.xi_trace).get(k, math.nan) if result.xi_trace else math.nan
+        xi = xis.get(k, math.nan)
         rows.append([k, _fmt(md.step_size(schedule, k)), _fmt(gaps.get(k, math.nan)),
                      _fmt(xi)] + [_fmt(v) for v in y])
     if header is None:
@@ -450,11 +451,14 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
 
 
 def _checkpoint_gaps(gap_trace, total: int):
-    gaps = dict(gap_trace)
+    """Gap at the last recorded step k <= round(frac * total) for each
+    checkpoint fraction (inf before the first record); the trace is in step
+    order, so a divergence entry appended at the end wins."""
     out = []
     for frac in CHECKPOINT_FRACTIONS:
         k = int(round(frac * total))
-        out.append(gaps.get(k, math.inf))
+        recorded = [gap for step, gap in gap_trace if step <= k]
+        out.append(recorded[-1] if recorded else math.inf)
     return out
 
 
@@ -653,7 +657,7 @@ def main(argv=None) -> int:
     except (mm.ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except rb.ConvergenceError as exc:
+    except (rb.ConvergenceError, mm.NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ representable).
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
@@ -171,6 +171,13 @@ class LossLawParams:
         if not (self.scale1 > 0.0 and self.scale2 > 0.0):
             raise ModelError("component scales must be positive")
 
+    def components(self) -> list:
+        """(weight, loc, scale, gaussian, nu) of each component of positive weight."""
+        comps = [(self.weight, self.loc1, self.scale1, self.gaussian1, self.nu1)]
+        if self.weight < 1.0:
+            comps.append((1.0 - self.weight, self.loc2, self.scale2, self.gaussian2, self.nu2))
+        return comps
+
 
 # ---------------------------------------------------------------------------
 # Sampling
@@ -235,9 +242,6 @@ def _t_lognorm(nu: float) -> float:
 def _t_pdf(x, nu: float):
     return np.exp(_t_lognorm(nu) - 0.5 * (nu + 1.0) * np.log1p(np.asarray(x) ** 2 / nu))
 
-def _t_cdf(x, nu: float):
-    return stdtr(nu, x)
-
 def _t_sf(x, nu: float):
     return stdtr(nu, -np.asarray(x))
 
@@ -260,29 +264,29 @@ def _t_tail_ex2(q, nu: float):
     return nu * ((nu - 1.0) / (nu - 2.0) * _t_sf(q * shrink, nu - 2.0) - _t_sf(q, nu))
 
 
-def _component_sf_pdf(x, gaussian: bool, nu: float):
+def _tail_moments(q, gaussian: bool, nu: float, order: int):
+    """(E[1{T > q}], E[T 1{T > q}]) and, for order 2, E[T^2 1{T > q}] of the
+    standardized component T; a t component needs nu > order."""
+    q = np.asarray(q, dtype=float)
     if gaussian:
-        return _norm_sf(x), _norm_pdf(x)
-    return _t_sf(x, nu), _t_pdf(x, nu)
+        sf = _norm_sf(q)
+        ex1 = _norm_pdf(q)
+        return (sf, ex1) if order == 1 else (sf, ex1, q * ex1 + sf)
+    if nu <= order:
+        raise NumericsError(f"tail moment of order {order} needs nu > {order}, got {nu}")
+    if order == 1:
+        return _t_sf(q, nu), _t_tail_ex1(q, nu)
+    return _t_sf(q, nu), _t_tail_ex1(q, nu), _t_tail_ex2(q, nu)
 
 
 def _partial_upper(q, gaussian: bool, nu: float, p: int):
     """E[(T - q)_+^p] for the standardized component, p in {1, 2}."""
     q = np.asarray(q, dtype=float)
-    if gaussian:
-        sf = _norm_sf(q)
-        ex1 = _norm_pdf(q)
-        if p == 1:
-            return ex1 - q * sf
-        ex2 = q * _norm_pdf(q) + sf
-        return ex2 - 2.0 * q * ex1 + q ** 2 * sf
     if p == 1:
-        if nu <= 1.0:
-            raise NumericsError(f"first partial moment needs nu > 1, got {nu}")
-        return _t_tail_ex1(q, nu) - q * _t_sf(q, nu)
-    if nu <= 2.0:
-        raise NumericsError(f"second partial moment needs nu > 2, got {nu}")
-    return _t_tail_ex2(q, nu) - 2.0 * q * _t_tail_ex1(q, nu) + q ** 2 * _t_sf(q, nu)
+        sf, ex1 = _tail_moments(q, gaussian, nu, 1)
+        return ex1 - q * sf
+    sf, ex1, ex2 = _tail_moments(q, gaussian, nu, 2)
+    return ex2 - 2.0 * q * ex1 + q ** 2 * sf
 
 
 # ---------------------------------------------------------------------------
@@ -309,129 +313,85 @@ def portfolio_loss_params(model: MixtureModel, w: np.ndarray) -> LossLawParams:
     )
 
 
-def _mixture_cdf_arrays(x, p: LossLawParams, loc1, scale1, loc2, scale2):
-    z1 = (x - loc1) / scale1
-    c1 = ndtr(z1) if p.gaussian1 else _t_cdf(z1, p.nu1)
+def _mixture_eval(x, p: LossLawParams, density: bool = False):
+    """CDF of the loss mixture at x, or its density when ``density`` is set:
+    one ndtr / stdtr (normal / t pdf) call per component, summed w1 c1 + w2 c2."""
+
+    def component(loc, scale, gaussian, nu):
+        z = (x - loc) / scale
+        if density:
+            return (_norm_pdf(z) if gaussian else _t_pdf(z, nu)) / scale
+        return ndtr(z) if gaussian else stdtr(nu, z)
+
+    c1 = component(p.loc1, p.scale1, p.gaussian1, p.nu1)
     if p.weight >= 1.0:
         return c1
-    z2 = (x - loc2) / scale2
-    c2 = ndtr(z2) if p.gaussian2 else _t_cdf(z2, p.nu2)
-    return p.weight * c1 + (1.0 - p.weight) * c2
-
-
-def _mixture_pdf_arrays(x, p: LossLawParams, loc1, scale1, loc2, scale2):
-    z1 = (x - loc1) / scale1
-    d1 = (_norm_pdf(z1) if p.gaussian1 else _t_pdf(z1, p.nu1)) / scale1
-    if p.weight >= 1.0:
-        return d1
-    z2 = (x - loc2) / scale2
-    d2 = (_norm_pdf(z2) if p.gaussian2 else _t_pdf(z2, p.nu2)) / scale2
-    return p.weight * d1 + (1.0 - p.weight) * d2
-
-
-def _component_quantile(alpha: float, gaussian: bool, nu: float, loc, scale):
-    base = ndtri(alpha) if gaussian else stdtrit(nu, alpha)
-    return loc + scale * base
-
-
-def _make_mixture_evals(p: LossLawParams, loc1, scale1, loc2, scale2):
-    """Closures (cdf, pdf) over pre-stacked component parameters.
-
-    Built once per quantile solve so that each evaluation is a handful of
-    vectorized ufunc calls regardless of the batch size."""
-    if p.weight >= 1.0:
-        if p.gaussian1:
-            return (lambda x: ndtr((x - loc1) / scale1),
-                    lambda x: _norm_pdf((x - loc1) / scale1) / scale1)
-        nu1 = p.nu1
-        return (lambda x: stdtr(nu1, (x - loc1) / scale1),
-                lambda x: _t_pdf((x - loc1) / scale1, nu1) / scale1)
-    l1, l2, s1, s2 = np.broadcast_arrays(loc1, loc2, scale1, scale2)
-    locs = np.stack([l1, l2])
-    scales = np.stack([s1, s2])
-    w = np.array([[p.weight], [1.0 - p.weight]])
-    if not (p.gaussian1 or p.gaussian2):
-        df = np.stack([np.full_like(scales[0], p.nu1), np.full_like(scales[1], p.nu2)])
-        lognorm = np.stack([np.full_like(scales[0], _t_lognorm(p.nu1)),
-                            np.full_like(scales[1], _t_lognorm(p.nu2))])
-        nu_plus = 0.5 * (df + 1.0)
-
-        def cdf(x):
-            z = (x - locs) / scales
-            return (w * stdtr(df, z)).sum(axis=0)
-
-        def pdf(x):
-            z = (x - locs) / scales
-            d = np.exp(lognorm - nu_plus * np.log1p(z * z / df)) / scales
-            return (w * d).sum(axis=0)
-
-        return cdf, pdf
-
-    def cdf(x):
-        return _mixture_cdf_arrays(x, p, loc1, scale1, loc2, scale2)
-
-    def pdf(x):
-        return _mixture_pdf_arrays(x, p, loc1, scale1, loc2, scale2)
-
-    return cdf, pdf
+    return p.weight * c1 + (1.0 - p.weight) * component(p.loc2, p.scale2, p.gaussian2, p.nu2)
 
 
 def mixture_cdf(params: LossLawParams, x) -> float:
     """CDF of the loss mixture at x (scalar or array)."""
-    out = _mixture_cdf_arrays(np.asarray(x, dtype=float), params,
-                              params.loc1, params.scale1, params.loc2, params.scale2)
+    out = _mixture_eval(np.asarray(x, dtype=float), params)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def _var_arrays(p: LossLawParams, loc1, scale1, loc2, scale2, alpha: float) -> np.ndarray:
-    """Alpha-quantile of each column law by safeguarded Newton.
+def _component_quantile(alpha: float, gaussian: bool, nu: float, loc, scale) -> float:
+    base = ndtri(alpha) if gaussian else stdtrit(nu, alpha)
+    return float(loc + scale * base)
+
+
+def _quantile(p: LossLawParams, alpha: float) -> float:
+    """Alpha-quantile of the loss law by safeguarded Newton.
 
     The mixture quantile is bracketed by the two component quantiles; a
     geometric expansion from the mixture mean backs that up, then bisection
     plus Newton polishing drive |cdf(q) - alpha| to the 1e-12 contract."""
-    loc1 = np.atleast_1d(np.asarray(loc1, dtype=float))
-    scale1 = np.atleast_1d(np.asarray(scale1, dtype=float))
-    loc2 = np.atleast_1d(np.asarray(loc2, dtype=float))
-    scale2 = np.atleast_1d(np.asarray(scale2, dtype=float))
-    cdf, pdf = _make_mixture_evals(p, loc1, scale1, loc2, scale2)
-    q1 = _component_quantile(alpha, p.gaussian1, p.nu1, loc1, scale1)
+
+    def cdf(x):
+        return float(_mixture_eval(x, p))
+
+    q1 = _component_quantile(alpha, p.gaussian1, p.nu1, p.loc1, p.scale1)
     if p.weight >= 1.0:
-        lo = q1 - np.abs(q1) * 1e-8 - 1e-12
-        hi = q1 + np.abs(q1) * 1e-8 + 1e-12
+        lo = q1 - abs(q1) * 1e-8 - 1e-12
+        hi = q1 + abs(q1) * 1e-8 + 1e-12
     else:
-        q2 = _component_quantile(alpha, p.gaussian2, p.nu2, loc2, scale2)
-        lo = np.minimum(q1, q2)
-        hi = np.maximum(q1, q2)
+        q2 = _component_quantile(alpha, p.gaussian2, p.nu2, p.loc2, p.scale2)
+        lo, hi = min(q1, q2), max(q1, q2)
     # Safety net in case the closed-form bracket is off by rounding.
-    mean = p.weight * loc1 + (1.0 - p.weight) * loc2
-    s = 10.0 * np.maximum(scale1, scale2)
+    mean = p.weight * p.loc1 + (1.0 - p.weight) * p.loc2
+    s = 10.0 * max(p.scale1, p.scale2)
     for _ in range(200):
         bad_lo = cdf(lo) > alpha
         bad_hi = cdf(hi) < alpha
-        if not (bad_lo.any() or bad_hi.any()):
+        if not (bad_lo or bad_hi):
             break
-        lo = np.where(bad_lo, np.minimum(lo, mean) - s, lo)
-        hi = np.where(bad_hi, np.maximum(hi, mean) + s, hi)
+        if bad_lo:
+            lo = min(lo, mean) - s
+        if bad_hi:
+            hi = max(hi, mean) + s
         s = s * 2.0
     else:
         raise NumericsError("quantile bracket expansion failed after 200 doublings")
     for _ in range(10):
         mid = 0.5 * (lo + hi)
-        above = cdf(mid) >= alpha
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+        if cdf(mid) >= alpha:
+            hi = mid
+        else:
+            lo = mid
     q = 0.5 * (lo + hi)
     for _ in range(4):
         f = cdf(q) - alpha
-        above = f >= 0.0
-        hi = np.where(above, q, hi)
-        lo = np.where(above, lo, q)
-        q = np.clip(q - f / np.maximum(pdf(q), _DENS_FLOOR), lo, hi)
-    err = np.abs(cdf(q) - alpha)
-    if np.any(err > 1e-12):
-        raise NumericsError(f"quantile refinement stalled at cdf error {err.max():.3e}")
+        if f >= 0.0:
+            hi = q
+        else:
+            lo = q
+        step = f / max(float(_mixture_eval(q, p, density=True)), _DENS_FLOOR)
+        q = min(max(q - step, lo), hi)
+    err = abs(cdf(q) - alpha)
+    if err > 1e-12:
+        raise NumericsError(f"quantile refinement stalled at cdf error {err:.3e}")
     return q
 
 
@@ -439,34 +399,20 @@ def var_exact(params: LossLawParams, alpha: float) -> float:
     """Value-at-risk: the unique root of mixture_cdf(x) = alpha."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    q = _var_arrays(params, params.loc1, params.scale1, params.loc2, params.scale2, alpha)
-    return float(q[0])
-
-
-def _es_arrays(p: LossLawParams, loc1, scale1, loc2, scale2, alpha: float) -> np.ndarray:
-    """Closed-form tail expectation E[Z | Z >= VaR_alpha] per component."""
-    for nu, gauss in ((p.nu1, p.gaussian1), (p.nu2, p.gaussian2)):
-        if not gauss and nu <= 1.0:
-            raise NumericsError(f"expected shortfall needs nu > 1, got {nu}")
-    q = _var_arrays(p, loc1, scale1, loc2, scale2, alpha)
-    z1 = (q - loc1) / scale1
-    sf1, pdf1 = _component_sf_pdf(z1, p.gaussian1, p.nu1)
-    ex1 = pdf1 if p.gaussian1 else _t_tail_ex1(z1, p.nu1)
-    tail = p.weight * (loc1 * sf1 + scale1 * ex1)
-    if p.weight < 1.0:
-        z2 = (q - loc2) / scale2
-        sf2, pdf2 = _component_sf_pdf(z2, p.gaussian2, p.nu2)
-        ex2 = pdf2 if p.gaussian2 else _t_tail_ex1(z2, p.nu2)
-        tail = tail + (1.0 - p.weight) * (loc2 * sf2 + scale2 * ex2)
-    return tail / (1.0 - alpha)
+    return _quantile(params, alpha)
 
 
 def es_exact(params: LossLawParams, alpha: float) -> float:
-    """Expected shortfall at level alpha, semi-analytic."""
+    """Expected shortfall at level alpha: the closed-form tail expectation
+    E[Z | Z >= VaR_alpha], summed over components."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    es = _es_arrays(params, params.loc1, params.scale1, params.loc2, params.scale2, alpha)
-    return float(es[0])
+    q = _quantile(params, alpha)
+    tail = 0.0
+    for w, loc, scale, gauss, nu in params.components():
+        sf, ex1 = _tail_moments((q - loc) / scale, gauss, nu, 1)
+        tail = tail + w * (loc * sf + scale * ex1)
+    return float(tail / (1.0 - alpha))
 
 
 def covariance(model: MixtureModel) -> np.ndarray:
@@ -497,12 +443,7 @@ def expected_power_loss(params: LossLawParams, a_plus: float, b_minus: float,
                         p_power: int, xi: float) -> float:
     """E[(a (Z - xi)_+ + b (Z - xi)_-)^p] in expanded two-branch form."""
     total = 0.0
-    for w, loc, scale, nu, gauss in (
-        (params.weight, params.loc1, params.scale1, params.nu1, params.gaussian1),
-        (1.0 - params.weight, params.loc2, params.scale2, params.nu2, params.gaussian2),
-    ):
-        if w == 0.0:
-            continue
+    for w, loc, scale, gauss, nu in params.components():
         q = (xi - loc) / scale
         up = _partial_upper(q, gauss, nu, p_power)
         down = _partial_upper(-q, gauss, nu, p_power)  # symmetry of t / normal

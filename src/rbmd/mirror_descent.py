@@ -68,7 +68,7 @@ class OptimizerConfig:
 
     ``iterations`` drives the deterministic runs; stochastic runs derive
     their total count as epochs * len(samples) and replay the sample matrix
-    in a fixed order unless ``reshuffle`` is set.
+    in a fixed order.
     """
 
     m_cap: float
@@ -81,8 +81,6 @@ class OptimizerConfig:
     tail_fraction: float = 0.2
     record_weights: bool = False
     grad_tol: float | None = None
-    reshuffle: bool = False
-    reshuffle_seed: int = 0
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
@@ -281,13 +279,6 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
     )
 
 
-def _epoch_order(n_rows: int, epoch: int, cfg: OptimizerConfig):
-    if not cfg.reshuffle:
-        return range(n_rows)
-    gen = np.random.Generator(np.random.Philox(key=(cfg.reshuffle_seed ^ (epoch + 1)) & (2 ** 64 - 1)))
-    return gen.permutation(n_rows)
-
-
 def _stochastic_loop(ctx, samples, cfg, gamma_star, update):
     """Common driver for SMD and the SGD baselines.
 
@@ -320,10 +311,9 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, update):
     gamma0 = cfg.schedule.gamma0
     beta = cfg.schedule.beta
     k = 0
-    for epoch in range(cfg.epochs):
-        for idx in _epoch_order(n_rows, epoch, cfg):
+    for _ in range(cfg.epochs):
+        for x in samples:
             k += 1
-            x = samples[idx]
             z = -float(y @ x)
             if not (math.isfinite(z) and math.isfinite(xi)):
                 diverged = True

@@ -11,7 +11,7 @@ continuously to the boundary of the nonnegative orthant.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "divergence_flag",
 ]
 
-_FD_REL_STEP = 1e-6
 _GOLDEN_RELTOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -150,13 +149,17 @@ class ObjectiveContext:
         single-component law; the loss of y then scales as |y|_Lambda^p."""
         unit = mm.LossLawParams(1.0, 0.0, 0.0, 1.0, 1.0, self.model.nu1,
                                 self.model.nu1, self.model.gaussian1, self.model.gaussian1)
-        lo = mm.var_exact(unit, 0.001)
-        hi = mm.var_exact(unit, 0.999)
+        return self._loss_min(unit)[1]
+
+    def _loss_min(self, params: mm.LossLawParams):
+        """(xi*, min_xi E[L(xi, Z)]) by golden section between the 0.1% and
+        99.9% quantiles of the loss law."""
         m = self.measure
-        _, val = _golden_min(
-            lambda xi: mm.expected_power_loss(unit, m.a_plus, m.b_minus, m.p_power, xi),
+        lo = mm.var_exact(params, 0.001)
+        hi = mm.var_exact(params, 0.999)
+        return _golden_min(
+            lambda xi: mm.expected_power_loss(params, m.a_plus, m.b_minus, m.p_power, xi),
             lo, hi)
-        return val
 
     # -- outer objective g(r(y)) ------------------------------------------
 
@@ -169,13 +172,7 @@ class ObjectiveContext:
         if mode == "dev_unit":
             s2 = float(y @ self.model.lambda1 @ y)
             return self._unit_loss_min * s2 ** (m.p_power / 2.0)
-        params = mm.portfolio_loss_params(self.model, y)
-        lo = mm.var_exact(params, 0.001)
-        hi = mm.var_exact(params, 0.999)
-        _, val = _golden_min(
-            lambda xi: mm.expected_power_loss(params, m.a_plus, m.b_minus, m.p_power, xi),
-            lo, hi)
-        return val
+        return self._loss_min(mm.portfolio_loss_params(self.model, y))[1]
 
     def risk_value(self, y: np.ndarray) -> float:
         """r(y) = rho(-<y, X>)."""
@@ -186,60 +183,95 @@ class ObjectiveContext:
 
     def outer_value(self, y: np.ndarray) -> float:
         """g(r(y)) under the context's g_mode."""
-        if self._mode == "es":
-            return self.risk_value(y)
         if self.g_mode == "power":
             return self._power_outer(y)
         return self.risk_value(y)
 
     # -- gradients ----------------------------------------------------------
 
-    def _es_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Semi-analytic ES for every row portfolio at once."""
+    def _euler_sum(self, y: np.ndarray, params: mm.LossLawParams, threshold: float,
+                   moments) -> np.ndarray:
+        """E[h(Z) (-X)] for a function h of the loss Z = -<y, X>.
+
+        In component c, Z = loc_c + s_c T and E[-X | T] = -mu_c + (Lambda_c y / s_c) T
+        is linear in T, so the sum over components needs only the 1-D moments
+        (E_c[h], E_c[T h]) = moments(q_c, s_c, gaussian_c, nu_c), taken at
+        q_c = (threshold - loc_c) / s_c.
+        """
         model = self.model
-        loc1 = -(rows @ model.mu1)
-        loc2 = -(rows @ model.mu2)
-        scale1 = np.sqrt(np.einsum("ij,ij->i", rows @ model.lambda1, rows))
-        scale2 = np.sqrt(np.einsum("ij,ij->i", rows @ model.lambda2, rows))
-        template = mm.portfolio_loss_params(model, rows[0])
-        return mm._es_arrays(template, loc1, scale1, loc2, scale2, self.measure.alpha)
+        grad = np.zeros(self.d)
+        for (w, loc, scale, gauss, nu), mu, lam in zip(
+                params.components(), (model.mu1, model.mu2), (model.lambda1, model.lambda2)):
+            h0, h1 = moments((threshold - loc) / scale, scale, gauss, nu)
+            grad += w * (h1 / scale * (lam @ y) - h0 * mu)
+        return grad
 
-    def _fd_probe(self, y: np.ndarray):
-        h = _FD_REL_STEP * np.maximum(1.0, y)
-        rows = np.repeat(y[None, :], 2 * y.size, axis=0)
-        idx = np.arange(y.size)
-        rows[2 * idx, idx] += h
-        rows[2 * idx + 1, idx] -= h
-        return rows, h
+    def _deviation_moments(self, q, scale: float, gaussian: bool, nu: float):
+        """(E[h], E[T h]) for h = dL/dz(xi*, loc + s T) with q = (xi* - loc) / s.
 
-    def outer_gradient(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of g(r(.)): analytic for the volatility family, central
-        finite differences of the semi-analytic value otherwise."""
-        mode = self._mode
+        h = p s^(p-1) (a^p (T - q)_+^(p-1) - b^p (q - T)_+^(p-1)); the second
+        branch is the first one for -T at -q, as the standardized law is symmetric.
+        """
         m = self.measure
+        p = m.p_power
+
+        def upper(t):
+            """(E[(T - t)_+^(p-1)], E[T (T - t)_+^(p-1)])."""
+            mom = mm._tail_moments(t, gaussian, nu, p)
+            if p == 1:
+                return mom
+            return mom[1] - t * mom[0], mom[2] - t * mom[1]
+
+        up0, up1 = upper(q)
+        down0, down1 = upper(-q)
+        c = p * scale ** (p - 1)
+        return (c * (m.a_plus ** p * up0 - m.b_minus ** p * down0),
+                c * (m.a_plus ** p * up1 + m.b_minus ** p * down1))
+
+    def _value_and_gradient(self, y: np.ndarray):
+        """(v, grad v) in closed form, with v = r for expected shortfall and
+        v = g(r) under the power outer function for the deviation measures."""
+        m = self.measure
+        mode = self._mode
         if mode == "vol":
             sig_y = self._sigma @ y
-            if self.g_mode == "power":
-                return m.a_plus ** 2 * 2.0 * sig_y
-            return m.a_plus * sig_y / math.sqrt(float(y @ sig_y))
+            return m.a_plus ** 2 * float(y @ sig_y), m.a_plus ** 2 * 2.0 * sig_y
+        if mode == "dev_unit":
+            lam_y = self.model.lambda1 @ y
+            s2 = float(y @ lam_y)
+            value = self._unit_loss_min * s2 ** (m.p_power / 2.0)
+            return value, (m.p_power * value / s2) * lam_y
+        params = mm.portfolio_loss_params(self.model, y)
         if mode == "es":
-            rows, h = self._fd_probe(y)
-            vals = self._es_batch(rows)
-            return (vals[0::2] - vals[1::2]) / (2.0 * h)
-        rows, h = self._fd_probe(y)
-        vals = np.array([self.outer_value(r) for r in rows])
-        return (vals[0::2] - vals[1::2]) / (2.0 * h)
+            # grad ES(y) = E[-X | Z >= VaR] (Tasche 1999); by Euler's theorem
+            # the value is <y, grad ES(y)>.
+            var = mm.var_exact(params, m.alpha)
+            grad = self._euler_sum(y, params, var,
+                                   lambda q, s, gauss, nu: mm._tail_moments(q, gauss, nu, 1))
+            grad /= 1.0 - m.alpha
+            return float(y @ grad), grad
+        # Envelope theorem at the minimizing xi*: grad = E[dL/dz(xi*, Z) (-X)].
+        xi, value = self._loss_min(params)
+        return value, self._euler_sum(y, params, xi, self._deviation_moments)
+
+    def _risk_gradient_from(self, value: float, grad: np.ndarray) -> np.ndarray:
+        """grad r from (v, grad v) by the chain rule through g: r = v for
+        expected shortfall, v = r^p for the deviation measures."""
+        if self.measure.is_es:
+            return grad
+        p = self.measure.p_power
+        return grad / (p * rl.rho_from_expected_loss(self.measure, value) ** (p - 1))
+
+    def outer_gradient(self, y: np.ndarray) -> np.ndarray:
+        """Gradient of g(r(.)), in closed form for every measure mode."""
+        value, grad = self._value_and_gradient(y)
+        if self.g_mode == "power":
+            return grad
+        return self._risk_gradient_from(value, grad)
 
     def risk_gradient(self, y: np.ndarray) -> np.ndarray:
         """Gradient of r(.) itself (no outer function, no log term)."""
-        if self._mode == "vol":
-            sig_y = self._sigma @ y
-            return self.measure.a_plus * sig_y / math.sqrt(float(y @ sig_y))
-        if self._mode == "es":
-            return self.outer_gradient(y)
-        rows, h = self._fd_probe(y)
-        vals = np.array([self.risk_value(r) for r in rows])
-        return (vals[0::2] - vals[1::2]) / (2.0 * h)
+        return self._risk_gradient_from(*self._value_and_gradient(y))
 
 
 def _require_interior(y: np.ndarray) -> np.ndarray:

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rbmd import market_models as mm
 from rbmd import rb_solver as rb
 from rbmd import risk_loss as rl
+
+# Seeded property tests without a per-example deadline: the semi-analytic
+# kernels take milliseconds, and their timing swings on a loaded host.
+settings.register_profile("rbmd", derandomize=True, deadline=None)
+settings.load_profile("rbmd")
 
 # Acceptance-criterion outcomes registered by test_acceptance.py; printed as
 # one line per criterion at the end of the session.

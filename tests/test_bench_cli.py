@@ -150,6 +150,19 @@ def test_cmd_reference_convergence_exit_code(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_numerics_error_exit_code(capsys, tmp_path):
+    # the variantile's second partial moment does not exist for nu2 <= 2
+    model = bench_model_dict()
+    model["nu2"] = 1.8
+    doc = {"model": {"inline": model}, "measure": {"kind": "variantile", "alpha": 0.75}}
+    code = bc.main(["reference", "--config", write_config(tmp_path, doc),
+                    "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------
@@ -255,6 +268,29 @@ def test_cmd_compare_single_replication_degenerate(tmp_path):
     assert float(agg["gap_k90_median"]) == pytest.approx(float(row["gap_k90"]))
     assert float(agg["mde_median"]) == pytest.approx(float(row["mde"]))
     assert float(agg["mde_mad"]) == 0.0
+
+
+def test_checkpoint_gaps_take_last_record_at_or_before():
+    # records every 1234 steps of 12345; checkpoints at 3704, 7407 and 11110
+    trace = [(k, float(k)) for k in range(1234, 12345, 1234)] + [(12345, 0.5)]
+    assert bc._checkpoint_gaps(trace, 12345) == [3702.0, 7404.0, 11106.0]
+    # a divergence entry closes the trace and covers every later checkpoint
+    assert bc._checkpoint_gaps([(10, 1.0), (20, 2.0), (25, math.inf)], 40) == [
+        1.0, 2.0, math.inf]
+
+
+def test_cmd_compare_checkpoints_off_the_record_grid(tmp_path):
+    # samples x epochs = 12345 is not a multiple of 10, so no record falls
+    # exactly on a checkpoint step
+    doc = compare_config()
+    doc.update(samples=12345, replications=1, optimizers=["smd"])
+    out = tmp_path / "grid"
+    assert bc.main(["compare", "--config", write_config(tmp_path, doc),
+                    "--out", str(out)]) == 0
+    with open(out / "replications.csv", newline="") as fh:
+        row = list(csv.DictReader(fh))[0]
+    for key in ("gap_k30", "gap_k60", "gap_k90"):
+        assert math.isfinite(float(row[key]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rbmd import bench_cli as bc
 from rbmd import market_models as mm
 from rbmd import rb_solver as rb
 from rbmd import risk_loss as rl
 
-from conftest import (BENCH_CONTRIBUTION, BENCH_ES, BENCH_VAR, BENCH_WEIGHTS,
-                      random_mixture_model)
+from conftest import (BENCH_CONTRIBUTION, BENCH_ES, BENCH_LAMBDA1, BENCH_VAR,
+                      BENCH_WEIGHTS, make_bench_model, random_mixture_model)
 
 
 @pytest.fixture(scope="module")
@@ -106,18 +109,68 @@ def test_gamma_gradient_volatility_closed_form(vol_power_ctx):
     np.testing.assert_allclose(grad, (2.0 - 1.0 / 3.0) * np.ones(3), rtol=1e-12)
 
 
-def test_gamma_gradient_matches_value_differences(es_ctx):
-    rng = np.random.default_rng(2)
-    for _ in range(5):
+def assert_gradient_matches_value_differences(ctx, rng, trials):
+    """gamma_gradient against central differences of gamma_value."""
+    for _ in range(trials):
         y = rng.uniform(2.0, 25.0, 3)
-        grad = rb.gamma_gradient(es_ctx, y)
+        grad = rb.gamma_gradient(ctx, y)
         h = 1e-5 * np.maximum(1.0, y)
         fd = np.zeros(3)
         for i in range(3):
             e = np.zeros(3)
             e[i] = h[i]
-            fd[i] = (rb.gamma_value(es_ctx, y + e) - rb.gamma_value(es_ctx, y - e)) / (2 * h[i])
+            fd[i] = (rb.gamma_value(ctx, y + e) - rb.gamma_value(ctx, y - e)) / (2 * h[i])
         assert np.linalg.norm(fd - grad) <= 1e-4 * max(1e-8, np.linalg.norm(grad))
+
+
+def test_gamma_gradient_matches_value_differences(es_ctx):
+    assert_gradient_matches_value_differences(es_ctx, np.random.default_rng(2), 5)
+
+
+# Objective contexts for every measure mode; the identity outer function is
+# allowed everywhere, the power one for the deviation measures only.
+_UNIT_T = mm.MixtureModel.single_t(np.zeros(3), 9.0 * np.array(BENCH_LAMBDA1), 4.5)
+MODE_CASES = {
+    "es": ("es", rl.MeasureSpec.expected_shortfall(0.95), make_bench_model()),
+    "vol": ("vol", rl.MeasureSpec.volatility(), make_bench_model()),
+    "dev_unit": ("dev_unit", rl.MeasureSpec.variantile(0.75), _UNIT_T),
+    "dev_general_p1": ("dev_general", rl.MeasureSpec.mad(), make_bench_model()),
+    "dev_general_p2": ("dev_general", rl.MeasureSpec.variantile(0.75), make_bench_model()),
+}
+MODE_CONTEXTS = {
+    (case, g_mode): rb.ObjectiveContext(rb.RiskBudget.uniform(3), spec, model, g_mode=g_mode)
+    for case, (_, spec, model) in MODE_CASES.items()
+    for g_mode in ("identity", "power")
+    if g_mode == "identity" or not spec.is_es
+}
+
+
+@pytest.mark.parametrize("case, g_mode", [
+    ("dev_general_p2", "power"),
+    ("dev_general_p2", "identity"),
+    ("dev_general_p1", "identity"),
+    ("dev_unit", "identity"),
+    ("vol", "identity"),
+])
+def test_gamma_gradient_matches_value_differences_per_mode(case, g_mode):
+    ctx = MODE_CONTEXTS[case, g_mode]
+    assert ctx._mode == MODE_CASES[case][0]
+    assert_gradient_matches_value_differences(ctx, np.random.default_rng(7), 3)
+
+
+@pytest.mark.parametrize("case, g_mode", sorted(MODE_CONTEXTS))
+@settings(max_examples=25)
+@given(weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+def test_euler_identity(case, g_mode, weights):
+    # sum_i u_i d_i r(u) = r(u) for the positively homogeneous r, and
+    # g(r) = r^p is p-homogeneous under the power outer function
+    ctx = MODE_CONTEXTS[case, g_mode]
+    assert ctx._mode == MODE_CASES[case][0]
+    u = np.array(weights) / sum(weights)
+    assert float(u @ ctx.risk_gradient(u)) == pytest.approx(ctx.risk_value(u), rel=1e-7)
+    degree = ctx.measure.p_power if g_mode == "power" else 1
+    assert (float(u @ ctx.outer_gradient(u))
+            == pytest.approx(degree * ctx.outer_value(u), rel=1e-7))
 
 
 def test_gamma_gradient_vanishes_at_reference(es_ctx, bench_reference):
@@ -281,10 +334,19 @@ def test_reference_scale_invariance(bench_model, bench_reference):
 
 
 def test_reference_convergence_error(es_ctx):
-    # the finite-difference gradient cannot reach 1e-14 in five steps
+    # five mirror-descent steps cannot bring the gradient down to 1e-14
     with pytest.raises(rb.ConvergenceError) as err:
         rb.reference_portfolio(es_ctx, tol=1e-14, max_iterations=5)
     assert err.value.grad_norm > 1e-14
+
+
+def test_reference_d50_es_converges_at_tight_tolerance():
+    model = bc.generate_model(50, 2024)
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(50),
+                              rl.MeasureSpec.expected_shortfall(0.95), model)
+    report = rb.reference_portfolio(ctx, tol=1e-10, max_iterations=20_000)
+    assert report.grad_norm <= 1e-10
+    assert report.iterations < 20_000
 
 
 # ---------------------------------------------------------------------------
