@@ -1,0 +1,52 @@
+"""Per-step cost of the stochastic engines, in microseconds per sample.
+
+    PYTHONPATH=src python -m pytest benchmarks/test_step_cost.py
+
+Each case runs one epoch over 20,000 seeded samples of a synthetic ES 95%
+problem with sparse recording (one gap record at the end), so the loop body
+dominates.  ``extra_info["us_per_step"]`` is the median run time divided by
+the step count.  These files sit outside ``tests/`` and are not part of the
+default test run.
+"""
+
+import numpy as np
+import pytest
+
+from rbmd import market_models as mm
+from rbmd import mirror_descent as md
+from rbmd import rb_solver as rb
+from rbmd import risk_loss as rl
+from rbmd.bench_cli import generate_model
+
+N_SAMPLES = 20_000
+
+
+@pytest.fixture(scope="module", params=[3, 10], ids=lambda d: f"d{d}")
+def problem(request):
+    d = request.param
+    model = generate_model(d, 2024)
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d),
+                              rl.MeasureSpec.expected_shortfall(0.95), model)
+    samples = mm.sample_returns(model, N_SAMPLES, seed=11)
+    cfg = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.65),
+                             iterations=1, y0=md.default_y0(model, 100.0),
+                             record_every=N_SAMPLES)
+    return ctx, samples, cfg
+
+
+@pytest.mark.parametrize("runner", ["smd", "sgd-tamed", "sgd-classical"])
+def test_step_cost(benchmark, problem, runner):
+    ctx, samples, cfg = problem
+    if runner == "smd":
+        def run():
+            return md.smd_run(ctx, samples, cfg)
+    else:
+        variant = runner.split("-")[1]
+
+        def run():
+            return md.sgd_run(variant, ctx, samples, cfg)
+
+    result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
+    assert not result.diverged and result.iterations == N_SAMPLES
+    assert np.all(np.isfinite(result.y_final))
+    benchmark.extra_info["us_per_step"] = benchmark.stats.stats.median / N_SAMPLES * 1e6

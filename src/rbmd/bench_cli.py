@@ -422,7 +422,7 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     try:
         reference = rb.reference_portfolio(ctx, tol=config.tolerance)
         gamma_star = rb.gamma_value(ctx, reference.y_raw)
-    except rb.ConvergenceError:
+    except (rb.ConvergenceError, mm.NumericsError):
         pass  # summary simply omits the reference comparison
     result = _execute_run(algorithm, ctx, samples, cfg, gamma_star)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -437,6 +437,8 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
         "weights_tail_avg": rb.normalize(result.y_tail_avg).tolist(),
         "min_underbar_y": result.min_underbar_y,
         "gap_final": result.gap_trace[-1][1] if result.gap_trace else None,
+        "n_projections": result.n_projections,
+        "gamma_sum": result.gamma_sum,
     }
     if algorithm != "dmd" and ctx.measure.is_es and not result.diverged:
         summary["var_estimate"] = result.xi_final / float(result.y_final.sum())

@@ -279,11 +279,16 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
     )
 
 
-def _stochastic_loop(ctx, samples, cfg, gamma_star, update):
-    """Common driver for SMD and the SGD baselines.
+def _stochastic_loop(ctx, samples, cfg, gamma_star, rule, floor_eps=0.0):
+    """Shared loop of SMD (``rule`` "smd") and the SGD baselines ("tamed",
+    "classical").
 
-    ``update(y, step, grad_y)`` returns the next y iterate and whether the
-    cap projection fired.
+    Every rule builds ng = -grad_y = b/y + X dL/dz and steps along
+    step * ng, with step = gamma * kappa(y) (gamma for "classical").  SMD
+    takes the entropic prox y * exp(step * ng), as ``_prox`` does; the SGD
+    baselines take y + step * ng and reset nonpositive coordinates to
+    ``floor_eps``.  min(y) is taken once per step and serves the record of
+    min y, the next kappa and the floor test.
     """
     samples = np.ascontiguousarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
@@ -294,6 +299,10 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, update):
     total = cfg.epochs * n_rows
     grads = rl.make_gradient_fn(ctx.measure)
     b = ctx.budget.b
+    m = cfg.m_cap
+    smd = rule == "smd"
+    tamed = rule != "classical"
+    x_max = max(float(samples.max()), -float(samples.min()))  # bounds every |X_i|
     y = cfg.y0.copy()
     xi = float(cfg.xi0)
     rec = _Recorder(ctx, cfg, total, gamma_star)
@@ -304,7 +313,8 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, update):
     tail_acc = np.zeros_like(y)
     tail_n = 0
     xi_tail = 0.0
-    min_under = float(y.min())
+    ymin = float(y.min())
+    min_under = ymin
     gamma_sum = 0.0
     diverged = False
     constant = cfg.schedule.kind == "constant"
@@ -320,15 +330,47 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, update):
                 break
             gamma = gamma0 if constant else gamma0 * float(k) ** -beta
             g_xi, g_z = grads(xi, z)
-            grad_y = -x * g_z - b / y
             wacc += gamma * y
             wsum += gamma
             gamma_sum += gamma
             xi = xi - gamma * g_xi
-            y, projected = update(y, gamma, grad_y)
+            ng = b / y
+            if g_z != 0.0:  # x * 0 would only add signed zeros
+                ng += x * g_z
+            step = gamma * min(ymin, 1.0) if tamed else gamma
+            ng *= step
+            projected = False
+            if smd:
+                # Since kappa <= y_i and b_i <= 1, |step * ng_i| is at most
+                # gamma + step * |X_i dL/dz|, and the +-_CLAMP clamp cannot act
+                # while that stays <= 600.  The bound needs b/y finite, which
+                # y >= 1e-300 ensures: for a subnormal y_i, b_i / y_i is inf.
+                if not (ymin >= 1e-300 and step * abs(g_z) * x_max + gamma <= 600.0):
+                    np.maximum(ng, -_CLAMP, out=ng)
+                    np.minimum(ng, _CLAMP, out=ng)
+                np.exp(ng, out=ng)
+                np.multiply(y, ng, out=ng)
+                s = float(ng.sum())
+                if not math.isfinite(s):  # redo the step in _prox's log domain
+                    y, projected = _prox(y, (b / y + x * g_z) * -step, m)
+                else:
+                    if s > m:
+                        ng *= m / s
+                        projected = True
+                    y = ng
+                ymin = float(y.min())
+                if ymin < _TINY:  # an exp or a rescale underflowed to 0
+                    np.maximum(y, _TINY, out=y)
+                    ymin = _TINY
+            else:
+                ng += y
+                y = ng
+                ymin = float(y.min())
+                if not ymin > 0.0:
+                    y = np.where(y <= 0.0, floor_eps, y)
+                    ymin = float(y.min())
             if projected:
                 rec.projection(k)
-            ymin = float(y.min())
             if ymin < min_under:
                 min_under = ymin
             if k >= tail_start:
@@ -372,13 +414,7 @@ def smd_run(ctx: rb.ObjectiveContext, samples: np.ndarray, cfg: OptimizerConfig,
     entropic proximal step on the tamed stochastic gradient
     kappa(y) * (-X dL/dz - b/y).
     """
-    m = cfg.m_cap
-
-    def update(y, gamma, grad_y):
-        kappa = min(float(y.min()), 1.0)
-        return _prox(y, (gamma * kappa) * grad_y, m)
-
-    return _stochastic_loop(ctx, samples, cfg, gamma_star, update)
+    return _stochastic_loop(ctx, samples, cfg, gamma_star, "smd")
 
 
 def sgd_run(variant: str, ctx: rb.ObjectiveContext, samples: np.ndarray,
@@ -394,14 +430,7 @@ def sgd_run(variant: str, ctx: rb.ObjectiveContext, samples: np.ndarray,
         raise ValueError(f"unknown variant {variant!r}")
     if not (floor_eps > 0.0):
         raise ValueError("floor_eps must be positive")
-    tamed = variant == "tamed"
-
-    def update(y, gamma, grad_y):
-        scale = gamma * min(float(y.min()), 1.0) if tamed else gamma
-        out = y - scale * grad_y
-        return np.where(out <= 0.0, floor_eps, out), False
-
-    return _stochastic_loop(ctx, samples, cfg, gamma_star, update)
+    return _stochastic_loop(ctx, samples, cfg, gamma_star, variant, floor_eps)
 
 
 def weighted_average(trajectory, schedule: StepSchedule) -> np.ndarray:

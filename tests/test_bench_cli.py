@@ -195,6 +195,41 @@ def test_cmd_run_deterministic(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_cmd_run_reports_run_counters(tmp_path, monkeypatch):
+    runs = []
+    execute = bc._execute_run
+
+    def spy(*args):
+        runs.append(execute(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(bc, "_execute_run", spy)
+    doc = run_config(tmp_path)
+    doc["optimizer"]["m_cap"] = 60.0  # small enough for the cap to fire
+    out = tmp_path / "run"
+    assert bc.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(runs) == 1
+    assert summary["n_projections"] == runs[0].n_projections > 0
+    assert summary["gamma_sum"] == runs[0].gamma_sum > 0.0
+
+
+def test_cmd_run_without_reference(tmp_path):
+    # the variantile reference needs nu2 > 2; the stochastic run does not
+    model = bench_model_dict()
+    model["nu2"] = 1.8
+    doc = run_config(tmp_path)
+    doc["model"] = {"inline": model}
+    doc["measure"] = {"kind": "variantile", "alpha": 0.75}
+    doc["samples"] = 2000
+    doc["optimizer"]["epochs"] = 1
+    out = tmp_path / "run"
+    assert bc.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] == 2000
+    assert "mde_final" not in summary and "reference_weights" not in summary
+
+
 def test_cmd_run_dmd(tmp_path):
     doc = run_config(tmp_path)
     doc["optimizer"] = {

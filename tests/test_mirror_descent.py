@@ -7,6 +7,7 @@ from rbmd import market_models as mm
 from rbmd import mirror_descent as md
 from rbmd import rb_solver as rb
 from rbmd import risk_loss as rl
+from rbmd.bench_cli import generate_model
 
 from conftest import make_bench_model
 
@@ -66,6 +67,18 @@ def test_prox_stays_positive_under_extreme_steps():
     out = md.prox_map(y, np.array([5000.0, -5000.0]), 10.0)
     assert np.all(out > 0.0)
     assert out.sum() <= 10.0 * (1 + 1e-12)
+
+
+def test_prox_log_domain_fallback():
+    # y * exp(700) overflows, so the sum is inf and the prox works in logs
+    y = np.array([3e4, 3e4, 1.0])
+    v = np.array([-5000.0, -699.0, 2.0])
+    with np.errstate(over="ignore"):
+        assert not math.isfinite((y * np.exp(np.minimum(-v, 700.0))).sum())
+        out = md.prox_map(y, v, 1e5)
+    assert np.all(np.isfinite(out))
+    assert np.all(out > 0.0)
+    assert out.sum() <= 1e5 * (1 + 1e-12)
 
 
 def test_prox_validation():
@@ -343,3 +356,151 @@ def test_sgd_rejects_unknown_variant(small_es_setup):
         md.sgd_run("momentum", ctx, samples, cfg)
     with pytest.raises(ValueError):
         md.sgd_run("classical", ctx, samples, cfg, floor_eps=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity against a plain per-step oracle
+# ---------------------------------------------------------------------------
+
+def _reference_stochastic_run(rule, ctx, samples, cfg, floor_eps=1e-4):
+    """SMD ("smd") and SGD ("tamed", "classical") one plain step at a time:
+    grad_y = -X dL/dz - b/y, kappa from y.min(), then ``_prox`` or the
+    np.where reset.  Returns the run and the set of guarded branches met."""
+    hits = set()
+    total = cfg.epochs * samples.shape[0]
+    rec = md._Recorder(ctx, cfg, total, None)
+    tail_start = total - max(1, math.ceil(cfg.tail_fraction * total)) + 1
+    b = ctx.budget.b
+    y = cfg.y0.copy()
+    xi = float(cfg.xi0)
+    wacc = np.zeros_like(y)
+    tail_acc = np.zeros_like(y)
+    wsum = gamma_sum = xi_tail = 0.0
+    tail_n = 0
+    min_under = float(y.min())
+    diverged = False
+    k = 0
+    for x in np.vstack([samples] * cfg.epochs):
+        k += 1
+        z = -float(y @ x)
+        if not (math.isfinite(z) and math.isfinite(xi)):
+            diverged = True
+            break
+        if y.min() < np.finfo(float).tiny:
+            hits.add("subnormal")
+        gamma = md.step_size(cfg.schedule, k)
+        g_xi = rl.loss_grad_xi(ctx.measure, xi, z)
+        g_z = rl.loss_grad_z(ctx.measure, xi, z)
+        grad_y = -x * g_z - b / y
+        wacc += gamma * y
+        wsum += gamma
+        gamma_sum += gamma
+        xi = xi - gamma * g_xi
+        kappa = min(float(y.min()), 1.0)
+        if rule == "smd":
+            v = (gamma * kappa) * grad_y
+            with np.errstate(all="ignore"):
+                w = y * np.exp(-np.clip(v, -md._CLAMP, md._CLAMP))
+                s = w.sum()
+                if s > cfg.m_cap:
+                    w *= cfg.m_cap / s
+            if np.any(np.abs(v) > md._CLAMP):
+                hits.add("clamp")
+            if not math.isfinite(s):
+                hits.add("fallback")
+            elif np.any(w == 0.0):
+                hits.add("floor")
+            y, projected = md._prox(y, v, cfg.m_cap)
+            if projected:
+                hits.add("cap")
+                rec.projection(k)
+        else:
+            out = y - (gamma * kappa if rule == "tamed" else gamma) * grad_y
+            if np.any(out <= 0.0):
+                hits.add("reset")
+            y = np.where(out <= 0.0, floor_eps, out)
+        min_under = min(min_under, float(y.min()))
+        if k >= tail_start:
+            tail_acc += y
+            tail_n += 1
+            xi_tail += xi
+        if rec.want(k):
+            rec.record(k, y, xi, wacc, wsum)
+    if not diverged and not (np.all(np.isfinite(y)) and math.isfinite(xi)):
+        diverged = True
+    if diverged:
+        hits.add("diverged")
+        rec.gap_trace.append((k, math.inf))
+    result = md.RunResult(
+        y_final=y, xi_final=xi,
+        y_weighted_avg=wacc / wsum if wsum > 0.0 else y.copy(),
+        y_tail_avg=tail_acc / tail_n if tail_n > 0 else y.copy(),
+        xi_tail_avg=xi_tail / tail_n if tail_n > 0 else xi,
+        gap_trace=rec.gap_trace, min_underbar_y=min_under, diverged=diverged,
+        iterations=k, gamma_sum=gamma_sum, n_projections=rec.n_projections,
+        y_trace=rec.y_trace, avg_trace=rec.avg_trace, xi_trace=rec.xi_trace,
+        projection_iters=rec.projection_iters)
+    return result, hits
+
+
+def _bits(value):
+    """Exact fingerprint: float and array payloads compared by their bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return type(value), value
+
+
+_MEASURES = {"es": rl.MeasureSpec.expected_shortfall(0.95), "mad": rl.MeasureSpec.mad(),
+             "variantile": rl.MeasureSpec.variantile(0.75)}
+
+# (rule, measure, d, (schedule, gamma0), m_cap, guarded branches the case reaches)
+_ORACLE_GRID = [
+    # plain regime: the cap projection fires, nothing else
+    ("smd", "es", 3, ("constant", 1.0), 100.0, {"cap"}),
+    ("smd", "mad", 3, ("power", 3.0), 100.0, {"cap"}),
+    # a ball so large that no guarded branch fires
+    ("smd", "es", 10, ("constant", 1.0), 1e7, set()),
+    # clamp active, _TINY floor, and subnormal y_i: b/y overflows to inf, so
+    # the clamp must not be skipped on the exponent bound alone
+    ("smd", "variantile", 3, ("constant", 400.0), 100.0, {"clamp", "floor", "subnormal"}),
+    ("smd", "mad", 10, ("constant", 5e4), 100.0, {"clamp", "floor", "cap"}),
+    # gamma * b_i = 705: the clamp acts on an exponent whose exp is still finite
+    ("smd", "es", 3, ("constant", 2115.0), 100.0, {"clamp"}),
+    # y exp(-v) overflows its sum: log-domain fallback
+    ("smd", "variantile", 10, ("constant", 5e4), 1e7, {"fallback"}),
+    # xi runs off to inf: divergence stop
+    ("smd", "variantile", 3, ("constant", 1e6), 100.0, {"diverged"}),
+    ("tamed", "es", 3, ("power", 1.0), 100.0, set()),
+    # SGD reset to floor_eps
+    ("tamed", "mad", 10, ("constant", 400.0), 100.0, {"reset"}),
+    ("classical", "es", 10, ("power", 3.0), 100.0, set()),
+    # reset, then divergence stop
+    ("classical", "variantile", 3, ("constant", 1e6), 100.0, {"reset", "diverged"}),
+]
+
+
+@pytest.mark.parametrize("rule,measure,d,sched,m_cap,branches", _ORACLE_GRID)
+def test_stochastic_runs_match_plain_oracle_bit_for_bit(rule, measure, d, sched, m_cap,
+                                                        branches):
+    model = generate_model(d, 40 + d)
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d), _MEASURES[measure], model)
+    samples = mm.sample_returns(model, 60, seed=d)
+    kind, gamma0 = sched
+    schedule = (md.StepSchedule.power(gamma0, 0.65) if kind == "power"
+                else md.StepSchedule.constant(gamma0))
+    cfg = md.OptimizerConfig(m_cap=m_cap, schedule=schedule, iterations=1, epochs=2,
+                             y0=md.default_y0(model, m_cap), record_every=7,
+                             record_weights=True)
+    with np.errstate(all="ignore"):
+        want, hits = _reference_stochastic_run(rule, ctx, samples, cfg)
+        if rule == "smd":
+            got = md.smd_run(ctx, samples, cfg)
+        else:
+            got = md.sgd_run(rule, ctx, samples, cfg)
+    assert branches <= hits
+    for name in vars(want):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
