@@ -1,13 +1,16 @@
-"""Per-step cost of the stochastic engines, in microseconds per sample.
+"""Per-step cost of the mirror-descent engines, in microseconds per step.
 
     PYTHONPATH=src python -m pytest benchmarks/test_step_cost.py
 
-Each case runs one epoch over 20,000 seeded samples of a synthetic ES 95%
-problem with sparse recording (one gap record at the end), so the loop body
-dominates.  ``extra_info["us_per_step"]`` is the median run time divided by
-the step count.  These files sit outside ``tests/`` and are not part of the
-default test run.
+The stochastic cases run one epoch over 20,000 seeded samples of a synthetic
+ES 95% problem, the DMD case 200 iterations on the same problem, each with
+sparse recording (one gap record at the end), so the loop body dominates.
+``extra_info["us_per_step"]`` is the median run time divided by the step
+count.  These files sit outside ``tests/`` and are not part of the default
+test run.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from rbmd import risk_loss as rl
 from rbmd.bench_cli import generate_model
 
 N_SAMPLES = 20_000
+N_DMD = 200
 
 
 @pytest.fixture(scope="module", params=[3, 10], ids=lambda d: f"d{d}")
@@ -50,3 +54,11 @@ def test_step_cost(benchmark, problem, runner):
     assert not result.diverged and result.iterations == N_SAMPLES
     assert np.all(np.isfinite(result.y_final))
     benchmark.extra_info["us_per_step"] = benchmark.stats.stats.median / N_SAMPLES * 1e6
+
+
+def test_dmd_iteration_cost(benchmark, problem):
+    ctx, _, cfg = problem
+    cfg = dataclasses.replace(cfg, iterations=N_DMD, record_every=N_DMD)
+    result = benchmark.pedantic(md.dmd_run, args=(ctx, cfg), rounds=5, warmup_rounds=1)
+    assert not result.diverged and result.iterations == N_DMD
+    benchmark.extra_info["us_per_step"] = benchmark.stats.stats.median / N_DMD * 1e6

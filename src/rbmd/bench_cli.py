@@ -30,7 +30,6 @@ from . import risk_loss as rl
 
 DIVERGENCE_EPSILONS = (5e-2, 5e-1, 5.0, 50.0)
 CHECKPOINT_FRACTIONS = (0.3, 0.6, 0.9)
-SGD_FLOOR_EPS = 1e-4
 
 # Starting learning rates per portfolio size for the compare sweep, decayed
 # as gamma0 * n^-0.65.  Both tables assume iteration budgets near 1e6; for
@@ -63,6 +62,31 @@ def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(f"missing key '{key}' in {where}")
     return doc[key]
+
+
+def _convert(value, kind, key: str):
+    """``kind(value)``, or a ConfigError naming ``key`` when the value has the
+    wrong type (null, a list for a number, a number for a list, ...)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value {value!r} for '{key}'") from exc
+
+
+def _convert_keys(doc: dict, kinds: dict, where: str) -> dict:
+    """Copy of ``doc`` with the value of each key in ``kinds`` converted."""
+    return {key: _convert(value, kinds[key], f"{where}.{key}") if key in kinds else value
+            for key, value in doc.items()}
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+_OPTIMIZER_NUMBERS = {"m_cap": float, "iterations": int, "epochs": int, "xi0": float,
+                      "y0": _float_array, "record_every": int, "tail_fraction": float,
+                      "grad_tol": float, "tamed_gamma0": float, "classical_gamma0": float,
+                      "beta": float}
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +148,6 @@ class ExperimentConfig:
     tolerance: float
     epsilons: tuple
     input_dir: str | None
-    out_dir: str | None
 
     @classmethod
     def parse(cls, doc: dict) -> "ExperimentConfig":
@@ -132,7 +155,7 @@ class ExperimentConfig:
             raise ConfigError("config root must be an object")
         allowed = {"model", "budget", "measure", "optimizer", "optimizers",
                    "samples", "replications", "dimensions", "seed",
-                   "tolerance", "epsilons", "input", "out"}
+                   "tolerance", "epsilons", "input"}
         _reject_unknown(doc, allowed, "config")
         model_spec = doc.get("model")
         if model_spec is not None:
@@ -141,14 +164,22 @@ class ExperimentConfig:
             _reject_unknown(model_spec, {"file", "inline", "synthetic"}, "model")
             if len(model_spec) != 1:
                 raise ConfigError("'model' needs exactly one of file | inline | synthetic")
+            (kind, spec), = model_spec.items()
+            if not isinstance(spec, str if kind == "file" else dict):
+                raise ConfigError(f"model.{kind} must be a "
+                                  + ("path" if kind == "file" else "JSON object"))
+            if kind == "synthetic":
+                _reject_unknown(spec, {"d", "seed"}, "model.synthetic")
+                model_spec = {kind: _convert_keys(spec, {"d": int, "seed": int}, "model.synthetic")}
         budget_spec = doc.get("budget", "uniform")
         if isinstance(budget_spec, str):
             if budget_spec != "uniform":
                 raise ConfigError(f"unknown budget preset {budget_spec!r}; "
                                   "use \"uniform\" or a list of positive shares")
         elif isinstance(budget_spec, list):
-            arr = np.asarray(budget_spec, dtype=float)
-            if arr.ndim != 1 or arr.size == 0 or np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+            budget_spec = _convert(budget_spec, _float_array, "budget")
+            if (budget_spec.ndim != 1 or budget_spec.size == 0 or np.any(budget_spec <= 0.0)
+                    or not np.all(np.isfinite(budget_spec))):
                 raise ConfigError("budget entries must be positive finite numbers")
         else:
             raise ConfigError("budget must be \"uniform\" or a list")
@@ -156,32 +187,37 @@ class ExperimentConfig:
         optimizer = doc.get("optimizer", {})
         if not isinstance(optimizer, dict):
             raise ConfigError("'optimizer' must be an object")
-        _reject_unknown(optimizer, {"algorithm", "m_cap", "schedule", "iterations",
-                                    "epochs", "xi0", "y0", "record_every",
-                                    "tail_fraction", "record_weights", "grad_tol",
-                                    "tamed_gamma0", "classical_gamma0", "beta"},
-                        "optimizer")
+        _reject_unknown(optimizer, {"algorithm", "schedule", *_OPTIMIZER_NUMBERS}, "optimizer")
+        optimizer = _convert_keys(optimizer, _OPTIMIZER_NUMBERS, "optimizer")
         sched = optimizer.get("schedule")
         if sched is not None:
             if not isinstance(sched, dict):
                 raise ConfigError("optimizer.schedule must be an object")
             _reject_unknown(sched, {"kind", "gamma0", "beta"}, "optimizer.schedule")
+            optimizer["schedule"] = _convert_keys(sched, {"gamma0": float, "beta": float},
+                                                  "optimizer.schedule")
         optimizers = doc.get("optimizers", ["smd", "sgd-tamed", "sgd-classical"])
         if not isinstance(optimizers, list) or not optimizers:
             raise ConfigError("'optimizers' must be a nonempty list")
         for name in optimizers:
             if name not in OPTIMIZER_NAMES:
                 raise ConfigError(f"unknown optimizer {name!r} in 'optimizers'")
-        samples = int(doc.get("samples", 100_000))
+        samples = _convert(doc.get("samples", 100_000), int, "samples")
         if samples < 1:
             raise ConfigError("'samples' must be >= 1")
-        replications = int(doc.get("replications", 1))
+        replications = _convert(doc.get("replications", 1), int, "replications")
         if replications < 1:
             raise ConfigError("'replications' must be >= 1")
         dimensions = doc.get("dimensions", [10])
-        if not isinstance(dimensions, list) or not all(int(d) >= 2 for d in dimensions):
+        if not isinstance(dimensions, list):
             raise ConfigError("'dimensions' must be a list of sizes >= 2")
-        epsilons = tuple(float(e) for e in doc.get("epsilons", DIVERGENCE_EPSILONS))
+        dimensions = [_convert(d, int, "dimensions") for d in dimensions]
+        if not all(d >= 2 for d in dimensions):
+            raise ConfigError("'dimensions' must be a list of sizes >= 2")
+        epsilons = doc.get("epsilons", list(DIVERGENCE_EPSILONS))
+        if not isinstance(epsilons, list):
+            raise ConfigError("'epsilons' must be a list of positive numbers")
+        epsilons = tuple(_convert(e, float, "epsilons") for e in epsilons)
         if any(e <= 0 for e in epsilons):
             raise ConfigError("'epsilons' must be positive")
         return cls(
@@ -193,12 +229,11 @@ class ExperimentConfig:
             optimizers=list(optimizers),
             samples=samples,
             replications=replications,
-            dimensions=[int(d) for d in dimensions],
-            seed=int(doc.get("seed", 0)),
-            tolerance=float(doc.get("tolerance", 1e-10)),
+            dimensions=dimensions,
+            seed=_convert(doc.get("seed", 0), int, "seed"),
+            tolerance=_convert(doc.get("tolerance", 1e-10), float, "tolerance"),
             epsilons=epsilons,
             input_dir=doc.get("input"),
-            out_dir=doc.get("out"),
         )
 
     def build_model(self, seed: int) -> mm.MixtureModel:
@@ -218,35 +253,31 @@ class ExperimentConfig:
             except mm.ModelError as exc:
                 raise ConfigError(f"bad inline model: {exc}") from exc
         synth = self.model_spec["synthetic"]
-        _reject_unknown(synth, {"d", "seed"}, "model.synthetic")
-        d = int(_require(synth, "d", "model.synthetic"))
-        return generate_model(d, int(synth.get("seed", seed)))
+        return generate_model(_require(synth, "d", "model.synthetic"), synth.get("seed", seed))
 
     def build_budget(self, d: int) -> rb.RiskBudget:
         if isinstance(self.budget_spec, str):
             return rb.RiskBudget.uniform(d)
-        arr = np.asarray(self.budget_spec, dtype=float)
-        if arr.size != d:
-            raise ConfigError(f"budget has {arr.size} entries for a {d}-asset model")
-        return rb.RiskBudget(arr)
+        if self.budget_spec.size != d:
+            raise ConfigError(f"budget has {self.budget_spec.size} entries for a {d}-asset model")
+        return rb.RiskBudget(self.budget_spec)
 
     def build_optimizer_config(self, model: mm.MixtureModel, n_iterations: int,
                                default_m: float | None = None) -> md.OptimizerConfig:
         opt = self.optimizer
         d = model.d
-        m_cap = float(opt.get("m_cap", default_m if default_m is not None
-                              else (100.0 if d <= 10 else 100.0 * d)))
+        m_cap = opt.get("m_cap", default_m if default_m is not None
+                        else (100.0 if d <= 10 else 100.0 * d))
         sched = opt.get("schedule")
         if sched is None:
             raise ConfigError("missing key 'schedule' in optimizer")
         kind = _require(sched, "kind", "optimizer.schedule")
         try:
-            schedule = md.StepSchedule(kind, float(sched.get("gamma0", 1.0)),
-                                       float(sched.get("beta", 0.0)))
+            schedule = md.StepSchedule(kind, sched.get("gamma0", 1.0), sched.get("beta", 0.0))
         except ValueError as exc:
             raise ConfigError(f"bad optimizer.schedule: {exc}") from exc
         if "y0" in opt:
-            y0 = np.asarray(opt["y0"], dtype=float)
+            y0 = opt["y0"]
             if y0.size != d:
                 raise ConfigError("optimizer.y0 dimension mismatch")
         else:
@@ -255,13 +286,12 @@ class ExperimentConfig:
             return md.OptimizerConfig(
                 m_cap=m_cap,
                 schedule=schedule,
-                iterations=int(opt.get("iterations", n_iterations)),
+                iterations=opt.get("iterations", n_iterations),
                 y0=y0,
-                epochs=int(opt.get("epochs", 1)),
-                xi0=float(opt.get("xi0", 0.0)),
-                record_every=int(opt.get("record_every", 100)),
-                tail_fraction=float(opt.get("tail_fraction", 0.2)),
-                record_weights=bool(opt.get("record_weights", False)),
+                epochs=opt.get("epochs", 1),
+                xi0=opt.get("xi0", 0.0),
+                record_every=opt.get("record_every", 100),
+                tail_fraction=opt.get("tail_fraction", 0.2),
                 grad_tol=opt.get("grad_tol"),
             )
         except ValueError as exc:
@@ -272,18 +302,17 @@ def _parse_measure(doc) -> rl.MeasureSpec:
     if not isinstance(doc, dict):
         raise ConfigError("'measure' must be an object")
     kind = _require(doc, "kind", "measure")
+    doc = _convert_keys(doc, {"alpha": float, "a": float, "b": float, "p": int}, "measure")
     if kind == "es":
         _reject_unknown(doc, {"kind", "alpha"}, "measure")
         try:
-            return rl.MeasureSpec.expected_shortfall(float(doc.get("alpha", 0.95)))
+            return rl.MeasureSpec.expected_shortfall(doc.get("alpha", 0.95))
         except ValueError as exc:
             raise ConfigError(f"bad measure: {exc}") from exc
     if kind == "deviation":
         _reject_unknown(doc, {"kind", "a", "b", "p"}, "measure")
         try:
-            return rl.MeasureSpec.deviation(float(doc.get("a", 1.0)),
-                                            float(doc.get("b", 1.0)),
-                                            int(doc.get("p", 2)))
+            return rl.MeasureSpec.deviation(doc.get("a", 1.0), doc.get("b", 1.0), doc.get("p", 2))
         except ValueError as exc:
             raise ConfigError(f"bad measure: {exc}") from exc
     if kind == "volatility":
@@ -295,7 +324,7 @@ def _parse_measure(doc) -> rl.MeasureSpec:
     if kind == "variantile":
         _reject_unknown(doc, {"kind", "alpha"}, "measure")
         try:
-            return rl.MeasureSpec.variantile(float(doc.get("alpha", 0.75)))
+            return rl.MeasureSpec.variantile(doc.get("alpha", 0.75))
         except ValueError as exc:
             raise ConfigError(f"bad measure: {exc}") from exc
     raise ConfigError(f"unknown measure kind {kind!r}")
@@ -397,11 +426,9 @@ def _execute_run(name: str, ctx, samples, cfg, gamma_star):
     if name == "smd":
         return md.smd_run(ctx, samples, cfg, gamma_star=gamma_star)
     if name == "sgd-tamed":
-        return md.sgd_run("tamed", ctx, samples, cfg, floor_eps=SGD_FLOOR_EPS,
-                          gamma_star=gamma_star)
+        return md.sgd_run("tamed", ctx, samples, cfg, gamma_star=gamma_star)
     if name == "sgd-classical":
-        return md.sgd_run("classical", ctx, samples, cfg, floor_eps=SGD_FLOOR_EPS,
-                          gamma_star=gamma_star)
+        return md.sgd_run("classical", ctx, samples, cfg, gamma_star=gamma_star)
     raise ConfigError(f"unknown optimizer {name!r}")
 
 
@@ -483,22 +510,22 @@ def run_replication(config: ExperimentConfig, d: int, index: int):
     y0 = y0 / ctx.risk_value(y0)
     if y0.sum() > m_cap:
         y0 = y0 * (m_cap / y0.sum())
-    beta = float(config.optimizer.get("beta", 0.65))
-    total = n * int(config.optimizer.get("epochs", 1))
+    beta = config.optimizer.get("beta", 0.65)
+    epochs = config.optimizer.get("epochs", 1)
+    total = n * epochs
     rows = []
     for name in config.optimizers:
         if name == "sgd-classical":
-            gamma0 = float(config.optimizer.get("classical_gamma0",
-                                                _nearest_gamma0(CLASSICAL_GAMMA0, d)))
+            gamma0 = config.optimizer.get("classical_gamma0",
+                                          _nearest_gamma0(CLASSICAL_GAMMA0, d))
         else:
-            gamma0 = float(config.optimizer.get("tamed_gamma0",
-                                                _nearest_gamma0(TAMED_GAMMA0, d)))
+            gamma0 = config.optimizer.get("tamed_gamma0", _nearest_gamma0(TAMED_GAMMA0, d))
         cfg = md.OptimizerConfig(
             m_cap=m_cap,
             schedule=md.StepSchedule.power(gamma0, beta),
             iterations=total,
             y0=y0,
-            epochs=int(config.optimizer.get("epochs", 1)),
+            epochs=epochs,
             record_every=max(1, total // 10),
         )
         result = _execute_run(name, ctx, samples, cfg, gamma_star)
@@ -653,9 +680,6 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(config, out_dir, seed, threads=max(1, args.threads))
         return cmd_figure_data(config, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (mm.ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

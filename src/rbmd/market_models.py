@@ -26,7 +26,6 @@ __all__ = [
     "es_exact",
     "covariance",
     "expected_power_loss",
-    "save_samples_csv",
 ]
 
 # Fixed sampling chunk (rows scaled by dimension) so that the draws for a
@@ -217,11 +216,6 @@ def sample_returns(model: MixtureModel, n: int, seed: int) -> np.ndarray:
         out[done:done + k] = np.where(pick1[:, None], x1, x2)
         done += k
     return out
-
-
-def save_samples_csv(samples: np.ndarray, path) -> None:
-    """Headerless CSV dump, one draw per row, 17 significant digits."""
-    np.savetxt(path, np.atleast_2d(samples), fmt="%.17g", delimiter=",")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ __all__ = [
 
 _CLAMP = 700.0
 _TINY = 5e-324  # smallest positive double; prox outputs stay strictly positive
+_SGD_FLOOR = 1e-4  # value the SGD baselines reset nonpositive coordinates to
 
 
 @dataclass(frozen=True)
@@ -137,25 +138,33 @@ def default_y0(model: mm.MixtureModel, m_cap: float) -> np.ndarray:
     return y0
 
 
-def _prox(y: np.ndarray, v: np.ndarray, m: float):
-    """Componentwise y * exp(-v) rescaled onto the l1 ball; returns the new
-    point and whether the cap was active.  Output is always finite and
-    strictly positive: exponents are clamped and underflows floored."""
-    v = np.minimum(np.maximum(v, -_CLAMP), _CLAMP)
-    np.negative(v, out=v)
-    np.exp(v, out=v)
-    w = y * v
-    s = w.sum()
+def _prox(y: np.ndarray, e: np.ndarray, m: float, bound: float = math.inf):
+    """Entropic prox y * exp(e), rescaled onto the l1 ball of radius m when its
+    sum exceeds m; e is overwritten.  Returns the new point, whether the cap
+    was active, and its min.  The output is always finite and strictly
+    positive: exponents are clamped to +-_CLAMP and underflows floored to
+    _TINY.  ``bound`` is an upper bound on max|e_i|; at 600 or less (100 below
+    _CLAMP, room for its rounding) the clamp cannot act and is skipped."""
+    if not bound <= 600.0:
+        np.maximum(e, -_CLAMP, out=e)
+        np.minimum(e, _CLAMP, out=e)
+    np.exp(e, out=e)
+    w = y * e
+    s = float(w.sum())
+    projected = not s <= m
     if not math.isfinite(s):
         # log-domain fallback: only reachable for extreme caps/overflow
-        t = np.log(y) + np.log(v)
-        t -= t.max()
-        w = np.exp(t)
-        return np.maximum(w * (m / w.sum()), _TINY), True
-    if s <= m:
-        return np.maximum(w, _TINY, out=w), False
-    w *= m / s
-    return np.maximum(w, _TINY, out=w), True
+        w = np.log(y) + np.log(e)
+        w -= w.max()
+        np.exp(w, out=w)
+        w *= m / w.sum()
+    elif projected:
+        w *= m / s
+    ymin = float(w.min())
+    if ymin < _TINY:  # an exp or a rescale underflowed to 0
+        np.maximum(w, _TINY, out=w)
+        ymin = _TINY
+    return w, projected, ymin
 
 
 def prox_map(y: np.ndarray, v: np.ndarray, m: float) -> np.ndarray:
@@ -168,17 +177,18 @@ def prox_map(y: np.ndarray, v: np.ndarray, m: float) -> np.ndarray:
         raise ValueError("y must be strictly positive")
     if y.sum() > m * (1.0 + 1e-9):
         raise ValueError("y must lie inside the l1 ball of radius m")
-    return _prox(y, v, m)[0]
+    return _prox(y, -v, m)[0]
 
 
 class _Recorder:
-    """Shared trace bookkeeping for all runners."""
+    """Shared trace bookkeeping for all runners, and their one result builder."""
 
     def __init__(self, ctx, cfg: OptimizerConfig, total: int, gamma_star):
         self.ctx = ctx
         self.cfg = cfg
         self.total = total
         self.gamma_star = gamma_star
+        self.tail_start = total - max(1, math.ceil(cfg.tail_fraction * total)) + 1
         self.gap_trace = []
         self.y_trace = []
         self.avg_trace = []
@@ -193,8 +203,10 @@ class _Recorder:
         base = 0.0 if self.gamma_star is None else self.gamma_star
         try:
             gap = rb.gamma_value(self.ctx, y) - base
-        except (ValueError, mm.NumericsError):
+        except ValueError:  # y left the open orthant: the run blew up
             gap = math.inf
+        except mm.NumericsError:  # the objective cannot be evaluated here
+            gap = math.nan
         self.gap_trace.append((k, gap))
         if self.cfg.record_weights:
             self.y_trace.append((k, y.copy()))
@@ -208,6 +220,29 @@ class _Recorder:
         if self.cfg.record_weights:
             self.projection_iters.append(k)
 
+    def result(self, y, xi, wacc, wsum, tail_acc, tail_n, xi_tail, min_under,
+               diverged, iterations, grad_norm=math.nan) -> RunResult:
+        """``wacc``/``wsum`` accumulate gamma_k y and gamma_k; ``tail_acc``,
+        ``xi_tail`` and ``tail_n`` the iterates from step ``tail_start`` on."""
+        return RunResult(
+            y_final=y,
+            xi_final=xi,
+            y_weighted_avg=wacc / wsum if wsum > 0.0 else y.copy(),
+            y_tail_avg=tail_acc / tail_n if tail_n > 0 else y.copy(),
+            xi_tail_avg=xi_tail / tail_n if tail_n > 0 else xi,
+            gap_trace=self.gap_trace,
+            min_underbar_y=min_under,
+            diverged=diverged,
+            iterations=iterations,
+            grad_norm=grad_norm,
+            gamma_sum=wsum,
+            n_projections=self.n_projections,
+            y_trace=self.y_trace,
+            avg_trace=self.avg_trace,
+            xi_trace=self.xi_trace,
+            projection_iters=self.projection_iters,
+        )
+
 
 def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
             gamma_star: float | None = None) -> RunResult:
@@ -219,14 +254,11 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
     y = cfg.y0.copy()
     n = cfg.iterations
     rec = _Recorder(ctx, cfg, n, gamma_star)
-    tail_len = max(1, math.ceil(cfg.tail_fraction * n))
-    tail_start = n - tail_len + 1
     wacc = np.zeros_like(y)
     wsum = 0.0
     tail_acc = np.zeros_like(y)
     tail_n = 0
     min_under = float(y.min())
-    gamma_sum = 0.0
     diverged = False
     grad_norm = math.inf
     done = 0
@@ -243,15 +275,13 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
             break
         wacc += gamma * y
         wsum += gamma
-        gamma_sum += gamma
-        y, projected = _prox(y, gamma * tg, cfg.m_cap)
+        y, projected, ymin = _prox(y, tg * -gamma, cfg.m_cap, gamma * grad_norm)
         done = k
         if projected:
             rec.projection(k)
-        ymin = float(y.min())
         if ymin < min_under:
             min_under = ymin
-        if k >= tail_start:
+        if k >= rec.tail_start:
             tail_acc += y
             tail_n += 1
         if rec.want(k):
@@ -259,36 +289,20 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
     if not diverged and not converged:
         tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
         grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
-    return RunResult(
-        y_final=y,
-        xi_final=math.nan,
-        y_weighted_avg=wacc / wsum if wsum > 0.0 else y.copy(),
-        y_tail_avg=tail_acc / tail_n if tail_n > 0 else y.copy(),
-        xi_tail_avg=math.nan,
-        gap_trace=rec.gap_trace,
-        min_underbar_y=min_under,
-        diverged=diverged,
-        iterations=done,
-        grad_norm=grad_norm,
-        gamma_sum=gamma_sum,
-        n_projections=rec.n_projections,
-        y_trace=rec.y_trace,
-        avg_trace=rec.avg_trace,
-        xi_trace=rec.xi_trace,
-        projection_iters=rec.projection_iters,
-    )
+    return rec.result(y, math.nan, wacc, wsum, tail_acc, tail_n, math.nan, min_under,
+                      diverged, done, grad_norm)
 
 
-def _stochastic_loop(ctx, samples, cfg, gamma_star, rule, floor_eps=0.0):
+def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     """Shared loop of SMD (``rule`` "smd") and the SGD baselines ("tamed",
     "classical").
 
     Every rule builds ng = -grad_y = b/y + X dL/dz and steps along
     step * ng, with step = gamma * kappa(y) (gamma for "classical").  SMD
-    takes the entropic prox y * exp(step * ng), as ``_prox`` does; the SGD
-    baselines take y + step * ng and reset nonpositive coordinates to
-    ``floor_eps``.  min(y) is taken once per step and serves the record of
-    min y, the next kappa and the floor test.
+    takes the entropic prox ``_prox(y, step * ng)``; the SGD baselines take
+    y + step * ng and reset nonpositive coordinates to ``_SGD_FLOOR``.
+    min(y) is taken once per step and serves the record of min y, the next
+    kappa and the floor test.
     """
     samples = np.ascontiguousarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
@@ -306,8 +320,7 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule, floor_eps=0.0):
     y = cfg.y0.copy()
     xi = float(cfg.xi0)
     rec = _Recorder(ctx, cfg, total, gamma_star)
-    tail_len = max(1, math.ceil(cfg.tail_fraction * total))
-    tail_start = total - tail_len + 1
+    tail_start = rec.tail_start
     wacc = np.zeros_like(y)
     wsum = 0.0
     tail_acc = np.zeros_like(y)
@@ -315,7 +328,6 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule, floor_eps=0.0):
     xi_tail = 0.0
     ymin = float(y.min())
     min_under = ymin
-    gamma_sum = 0.0
     diverged = False
     constant = cfg.schedule.kind == "constant"
     gamma0 = cfg.schedule.gamma0
@@ -332,45 +344,28 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule, floor_eps=0.0):
             g_xi, g_z = grads(xi, z)
             wacc += gamma * y
             wsum += gamma
-            gamma_sum += gamma
             xi = xi - gamma * g_xi
             ng = b / y
             if g_z != 0.0:  # x * 0 would only add signed zeros
                 ng += x * g_z
             step = gamma * min(ymin, 1.0) if tamed else gamma
             ng *= step
-            projected = False
             if smd:
                 # Since kappa <= y_i and b_i <= 1, |step * ng_i| is at most
-                # gamma + step * |X_i dL/dz|, and the +-_CLAMP clamp cannot act
-                # while that stays <= 600.  The bound needs b/y finite, which
-                # y >= 1e-300 ensures: for a subnormal y_i, b_i / y_i is inf.
-                if not (ymin >= 1e-300 and step * abs(g_z) * x_max + gamma <= 600.0):
-                    np.maximum(ng, -_CLAMP, out=ng)
-                    np.minimum(ng, _CLAMP, out=ng)
-                np.exp(ng, out=ng)
-                np.multiply(y, ng, out=ng)
-                s = float(ng.sum())
-                if not math.isfinite(s):  # redo the step in _prox's log domain
-                    y, projected = _prox(y, (b / y + x * g_z) * -step, m)
-                else:
-                    if s > m:
-                        ng *= m / s
-                        projected = True
-                    y = ng
-                ymin = float(y.min())
-                if ymin < _TINY:  # an exp or a rescale underflowed to 0
-                    np.maximum(y, _TINY, out=y)
-                    ymin = _TINY
+                # gamma + step * |X_i dL/dz|.  That bound needs b/y finite,
+                # which y >= 1e-300 ensures: for a subnormal y_i, b_i / y_i is
+                # inf.
+                bound = step * abs(g_z) * x_max + gamma if ymin >= 1e-300 else math.inf
+                y, projected, ymin = _prox(y, ng, m, bound)
+                if projected:
+                    rec.projection(k)
             else:
                 ng += y
                 y = ng
                 ymin = float(y.min())
                 if not ymin > 0.0:
-                    y = np.where(y <= 0.0, floor_eps, y)
+                    y = np.where(y <= 0.0, _SGD_FLOOR, y)
                     ymin = float(y.min())
-            if projected:
-                rec.projection(k)
             if ymin < min_under:
                 min_under = ymin
             if k >= tail_start:
@@ -387,23 +382,8 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule, floor_eps=0.0):
         diverged = True
     if diverged:
         rec.gap_trace.append((k, math.inf))
-    return RunResult(
-        y_final=y,
-        xi_final=xi,
-        y_weighted_avg=wacc / wsum if wsum > 0.0 else y.copy(),
-        y_tail_avg=tail_acc / tail_n if tail_n > 0 else y.copy(),
-        xi_tail_avg=xi_tail / tail_n if tail_n > 0 else xi,
-        gap_trace=rec.gap_trace,
-        min_underbar_y=min_under,
-        diverged=diverged,
-        iterations=k,
-        gamma_sum=gamma_sum,
-        n_projections=rec.n_projections,
-        y_trace=rec.y_trace,
-        avg_trace=rec.avg_trace,
-        xi_trace=rec.xi_trace,
-        projection_iters=rec.projection_iters,
-    )
+    return rec.result(y, xi, wacc, wsum, tail_acc, tail_n, xi_tail, min_under,
+                      diverged, k)
 
 
 def smd_run(ctx: rb.ObjectiveContext, samples: np.ndarray, cfg: OptimizerConfig,
@@ -418,19 +398,16 @@ def smd_run(ctx: rb.ObjectiveContext, samples: np.ndarray, cfg: OptimizerConfig,
 
 
 def sgd_run(variant: str, ctx: rb.ObjectiveContext, samples: np.ndarray,
-            cfg: OptimizerConfig, floor_eps: float = 1e-4,
-            gamma_star: float | None = None) -> RunResult:
+            cfg: OptimizerConfig, gamma_star: float | None = None) -> RunResult:
     """Projected SGD baselines.
 
     "classical" steps along the raw stochastic gradient, "tamed" scales it by
-    kappa(y).  Either way nonpositive coordinates are reset to ``floor_eps``
+    kappa(y).  Either way nonpositive coordinates are reset to ``_SGD_FLOOR``
     and there is no l1 cap.
     """
     if variant not in ("classical", "tamed"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not (floor_eps > 0.0):
-        raise ValueError("floor_eps must be positive")
-    return _stochastic_loop(ctx, samples, cfg, gamma_star, variant, floor_eps)
+    return _stochastic_loop(ctx, samples, cfg, gamma_star, variant)
 
 
 def weighted_average(trajectory, schedule: StepSchedule) -> np.ndarray:

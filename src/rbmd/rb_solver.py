@@ -30,7 +30,6 @@ __all__ = [
     "normalize",
     "risk_contributions",
     "mde",
-    "kl_divergence",
     "reference_portfolio",
     "divergence_flag",
 ]
@@ -338,23 +337,6 @@ def mde(u: np.ndarray, u_ref: np.ndarray) -> float:
     if u.shape != u_ref.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {u_ref.shape}")
     return float(np.abs(u - u_ref).mean())
-
-
-def kl_divergence(y: np.ndarray, y_prime: np.ndarray) -> float:
-    """Entropic Bregman divergence sum y log(y/y') - sum y + sum y'.
-
-    Defined for y >= 0 (0 log 0 = 0) against strictly positive y'.
-    """
-    y = np.asarray(y, dtype=float)
-    y_prime = np.asarray(y_prime, dtype=float)
-    if y.shape != y_prime.shape:
-        raise ValueError("dimension mismatch")
-    if np.any(y < 0.0):
-        raise ValueError("y must be nonnegative")
-    if np.any(y_prime <= 0.0):
-        raise ValueError("y' must be strictly positive")
-    logs = np.where(y > 0.0, y * np.log(np.where(y > 0.0, y, 1.0) / y_prime), 0.0)
-    return float(logs.sum() - y.sum() + y_prime.sum())
 
 
 def divergence_flag(gap: float, epsilon: float) -> bool:

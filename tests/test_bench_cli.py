@@ -82,6 +82,37 @@ def test_bad_json_config(tmp_path):
     assert bc.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("path,value", [
+    (("samples",), None),
+    (("seed",), None),
+    (("replications",), [2]),
+    (("epsilons",), 5),
+    (("optimizer", "epochs"), None),
+    (("model", "inline"), 5),
+], ids=["samples-null", "seed-null", "replications-list", "epsilons-number", "epochs-null",
+        "inline-number"])
+def test_wrong_value_type_is_a_config_error(capsys, tmp_path, path, value):
+    doc = run_config(tmp_path)
+    *parents, key = path
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    code = bc.main(["run", "--config", write_config(tmp_path, doc),
+                    "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ".".join(path) in err
+
+
+def test_unread_keys_rejected():
+    with pytest.raises(bc.ConfigError, match="out"):
+        bc.ExperimentConfig.parse({"out": "runs"})
+    with pytest.raises(bc.ConfigError, match="record_weights"):
+        bc.ExperimentConfig.parse({"optimizer": {"record_weights": True}})
+
+
 def test_measure_parsing():
     cfg = bc.ExperimentConfig.parse({"measure": {"kind": "deviation", "a": 2.0, "b": 1.0, "p": 1}})
     assert cfg.measure.a_plus == 2.0 and cfg.measure.p_power == 1
@@ -228,6 +259,16 @@ def test_cmd_run_without_reference(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["iterations"] == 2000
     assert "mde_final" not in summary and "reference_weights" not in summary
+    # the objective cannot be evaluated, which is not a blowup: gaps are nan
+    assert not summary["diverged"]
+    with open(out / "trace.csv", newline="") as fh:
+        gaps = [float(row["gap"]) for row in csv.DictReader(fh)]
+    assert gaps and all(math.isnan(g) for g in gaps)
+    fig_cfg = write_config(tmp_path, {"input": str(out)}, name="fig.json")
+    assert bc.main(["figure-data", "--config", fig_cfg, "--out", str(tmp_path / "fig")]) == 0
+    with open(tmp_path / "fig" / "figure_data.csv", newline="") as fh:
+        series = {row["series"] for row in csv.DictReader(fh)}
+    assert "trace.gap" not in series and "trace.xi" in series
 
 
 def test_cmd_run_dmd(tmp_path):

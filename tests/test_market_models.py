@@ -45,14 +45,6 @@ def test_model_roundtrip(tmp_path, bench_model):
         mm.MixtureModel.from_dict({**bench_model.to_dict(), "extra": 1})
 
 
-def test_samples_csv_roundtrip(tmp_path, bench_model):
-    x = mm.sample_returns(bench_model, 50, seed=3)
-    path = tmp_path / "draws.csv"
-    mm.save_samples_csv(x, path)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_array_equal(back, x)
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------

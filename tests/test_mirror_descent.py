@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rbmd import market_models as mm
 from rbmd import mirror_descent as md
@@ -282,7 +284,7 @@ def test_sgd_floor_resets_nonpositive_coordinates():
     x = np.array([[-0.5, -0.1]])
     cfg = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.constant(0.1),
                              iterations=1, epochs=1, y0=y0, record_every=1)
-    res = md.sgd_run("classical", ctx, x, cfg, floor_eps=1e-4)
+    res = md.sgd_run("classical", ctx, x, cfg)
     # z = 0.65 > xi = 0, so dL/dz = 20; the first coordinate is pushed negative
     grad = -x[0] * 20.0 - ctx.budget.b / y0
     expected = y0 - 0.1 * grad
@@ -354,17 +356,54 @@ def test_sgd_rejects_unknown_variant(small_es_setup):
                              iterations=1, epochs=1, y0=np.ones(3))
     with pytest.raises(ValueError):
         md.sgd_run("momentum", ctx, samples, cfg)
-    with pytest.raises(ValueError):
-        md.sgd_run("classical", ctx, samples, cfg, floor_eps=0.0)
 
 
 # ---------------------------------------------------------------------------
 # Bit-identity against a plain per-step oracle
 # ---------------------------------------------------------------------------
 
+def _plain_prox(y, v, m):
+    """The entropic prox written plainly: y * exp(-v) with every exponent
+    clamped to +-700, rescaled onto the m ball, a log-domain fallback when
+    the sum overflows, and every underflow floored to the smallest double."""
+    v = np.minimum(np.maximum(v, -md._CLAMP), md._CLAMP)
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    w = y * v
+    s = w.sum()
+    if not math.isfinite(s):
+        t = np.log(y) + np.log(v)
+        t -= t.max()
+        w = np.exp(t)
+        return np.maximum(w * (m / w.sum()), md._TINY), True
+    if s <= m:
+        return np.maximum(w, md._TINY, out=w), False
+    w *= m / s
+    return np.maximum(w, md._TINY, out=w), True
+
+
+@given(log_y=st.lists(st.floats(-300.0, 4.0), min_size=1, max_size=6),
+       v=st.lists(st.floats(-5000.0, 5000.0), min_size=6, max_size=6),
+       log_m=st.floats(-2.0, 7.0))
+@example(log_y=[4.0, 4.0, 0.0], v=[-5000.0, -5000.0, 2.0, 0, 0, 0], log_m=7.0)  # fallback
+@example(log_y=[-300.0, 0.0], v=[5000.0, -1.0, 0, 0, 0, 0], log_m=2.0)  # clamp, floor
+def test_prox_map_matches_plain_prox(log_y, v, log_m):
+    y = 10.0 ** np.array(log_y)
+    v = np.array(v[:y.size])
+    m = 10.0 ** log_m
+    if y.sum() > m:
+        y *= m / y.sum()
+    with np.errstate(all="ignore"):
+        want = _plain_prox(y, v.copy(), m)[0]
+        got = md.prox_map(y, v, m)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got > 0.0) and np.all(np.isfinite(got))
+    assert got.sum() <= m * (1 + 1e-12)
+
+
 def _reference_stochastic_run(rule, ctx, samples, cfg, floor_eps=1e-4):
     """SMD ("smd") and SGD ("tamed", "classical") one plain step at a time:
-    grad_y = -X dL/dz - b/y, kappa from y.min(), then ``_prox`` or the
+    grad_y = -X dL/dz - b/y, kappa from y.min(), then ``_plain_prox`` or the
     np.where reset.  Returns the run and the set of guarded branches met."""
     hits = set()
     total = cfg.epochs * samples.shape[0]
@@ -410,7 +449,7 @@ def _reference_stochastic_run(rule, ctx, samples, cfg, floor_eps=1e-4):
                 hits.add("fallback")
             elif np.any(w == 0.0):
                 hits.add("floor")
-            y, projected = md._prox(y, v, cfg.m_cap)
+            y, projected = _plain_prox(y, v, cfg.m_cap)
             if projected:
                 hits.add("cap")
                 rec.projection(k)
@@ -502,5 +541,94 @@ def test_stochastic_runs_match_plain_oracle_bit_for_bit(rule, measure, d, sched,
         else:
             got = md.sgd_run(rule, ctx, samples, cfg)
     assert branches <= hits
+    for name in vars(want):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+
+
+def _reference_dmd_run(ctx, cfg):
+    """DMD one plain step at a time: ``tamed_gradient``, then ``_plain_prox``
+    on gamma * tg.  Returns the run and the set of guarded branches met."""
+    hits = set()
+    n = cfg.iterations
+    rec = md._Recorder(ctx, cfg, n, None)
+    tail_start = n - max(1, math.ceil(cfg.tail_fraction * n)) + 1
+    y = cfg.y0.copy()
+    wacc = np.zeros_like(y)
+    tail_acc = np.zeros_like(y)
+    wsum = gamma_sum = 0.0
+    tail_n = done = 0
+    min_under = float(y.min())
+    diverged = converged = False
+    grad_norm = math.inf
+    for k in range(1, n + 1):
+        gamma = md.step_size(cfg.schedule, k)
+        tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
+        if not np.all(np.isfinite(tg)):
+            hits.add("diverged")
+            diverged = True
+            break
+        grad_norm = float(np.abs(tg).max())
+        if cfg.grad_tol is not None and grad_norm <= cfg.grad_tol:
+            hits.add("grad_tol")
+            converged = True
+            break
+        wacc += gamma * y
+        wsum += gamma
+        gamma_sum += gamma
+        v = gamma * tg
+        if np.any(np.abs(v) > md._CLAMP):
+            hits.add("clamp")
+        with np.errstate(all="ignore"):
+            if not math.isfinite((y * np.exp(-np.clip(v, -md._CLAMP, md._CLAMP))).sum()):
+                hits.add("fallback")
+        y, projected = _plain_prox(y, v, cfg.m_cap)
+        done = k
+        if projected:
+            hits.add("cap")
+            rec.projection(k)
+        min_under = min(min_under, float(y.min()))
+        if k >= tail_start:
+            tail_acc += y
+            tail_n += 1
+        if rec.want(k):
+            rec.record(k, y, None, wacc, wsum)
+    if not diverged and not converged:
+        tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
+        grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
+    result = md.RunResult(
+        y_final=y, xi_final=math.nan,
+        y_weighted_avg=wacc / wsum if wsum > 0.0 else y.copy(),
+        y_tail_avg=tail_acc / tail_n if tail_n > 0 else y.copy(),
+        xi_tail_avg=math.nan, gap_trace=rec.gap_trace, min_underbar_y=min_under,
+        diverged=diverged, iterations=done, grad_norm=grad_norm, gamma_sum=gamma_sum,
+        n_projections=rec.n_projections, y_trace=rec.y_trace, avg_trace=rec.avg_trace,
+        xi_trace=rec.xi_trace, projection_iters=rec.projection_iters)
+    return result, hits
+
+
+# (measure, d, gamma0, m_cap, grad_tol, guarded branches the case reaches)
+_DMD_ORACLE_GRID = [
+    ("es", 3, 1.0, 10.0, None, {"cap"}),
+    ("mad", 10, 30.0, 100.0, None, {"cap"}),
+    ("variantile", 3, 1.0, 1e7, None, set()),
+    ("mad", 3, 30.0, 1e7, 1e-3, {"grad_tol"}),
+    ("es", 3, 5e4, 100.0, None, {"clamp", "cap", "diverged"}),
+    ("mad", 10, 5e4, 10.0, None, {"clamp", "cap"}),
+    ("variantile", 10, 30.0, 1e7, None, {"clamp", "cap", "diverged"}),
+]
+
+
+@pytest.mark.parametrize("measure,d,gamma0,m_cap,grad_tol,branches", _DMD_ORACLE_GRID)
+def test_dmd_runs_match_plain_oracle_bit_for_bit(measure, d, gamma0, m_cap, grad_tol,
+                                                 branches):
+    model = generate_model(d, 40 + d)
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d), _MEASURES[measure], model)
+    cfg = md.OptimizerConfig(m_cap=m_cap, schedule=md.StepSchedule.constant(gamma0),
+                             iterations=40, y0=md.default_y0(model, m_cap), record_every=7,
+                             record_weights=True, grad_tol=grad_tol)
+    with np.errstate(all="ignore"):
+        want, hits = _reference_dmd_run(ctx, cfg)
+        got = md.dmd_run(ctx, cfg)
+    assert branches <= hits, hits
     for name in vars(want):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name

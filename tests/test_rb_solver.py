@@ -226,21 +226,6 @@ def test_mde_examples():
         rb.mde(np.ones(2), np.ones(3))
 
 
-def test_kl_divergence():
-    assert rb.kl_divergence(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-    assert rb.kl_divergence(np.array([0.0, 1.0]), np.array([1.0, 1.0])) == pytest.approx(1.0)
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        d = int(rng.integers(1, 6))
-        y = rng.uniform(0.0, 5.0, d)
-        y2 = rng.uniform(0.1, 5.0, d)
-        assert rb.kl_divergence(y, y2) >= 0.0
-    with pytest.raises(ValueError):
-        rb.kl_divergence(np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        rb.kl_divergence(np.array([-1.0]), np.array([1.0]))
-
-
 def test_divergence_flag():
     assert not rb.divergence_flag(0.04, 5e-2)
     assert rb.divergence_flag(math.inf, 50.0)
