@@ -66,8 +66,12 @@ def _require(doc: dict, key: str, where: str):
 
 def _convert(value, kind, key: str):
     """``kind(value)``, or a ConfigError naming ``key`` when the value has the
-    wrong type (null, a list for a number, a number for a list, ...)."""
+    wrong type: null, a string, a list or a boolean for a number, a number for
+    a list, or a fraction such as 2.7 for an integer."""
     try:
+        if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))
+                                     or kind is int and value != int(value)):
+            raise TypeError(f"not a {kind.__name__}")
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value {value!r} for '{key}'") from exc
@@ -249,7 +253,7 @@ class ExperimentConfig:
                 raise ConfigError(f"bad model file {path}: {exc}") from exc
         if "inline" in self.model_spec:
             try:
-                return mm.MixtureModel.from_dict(self.model_spec["inline"])
+                return mm.MixtureModel.from_dict(self.model_spec["inline"], "model.inline.")
             except mm.ModelError as exc:
                 raise ConfigError(f"bad inline model: {exc}") from exc
         synth = self.model_spec["synthetic"]

@@ -26,6 +26,7 @@ __all__ = [
     "es_exact",
     "covariance",
     "expected_power_loss",
+    "expectile",
 ]
 
 # Fixed sampling chunk (rows scaled by dimension) so that the draws for a
@@ -64,10 +65,11 @@ class MixtureModel:
         object.__setattr__(self, "lambda2", np.asarray(self.lambda2, dtype=float))
         if not (0.0 < self.weight <= 1.0):
             raise ModelError(f"weight must lie in (0, 1], got {self.weight}")
+        if self.mu1.ndim != 1:
+            raise ModelError("mu1 must be a vector")
         d = self.mu1.shape[0]
-        for name in ("mu2",):
-            if getattr(self, name).shape != (d,):
-                raise ModelError(f"{name} must have shape ({d},)")
+        if self.mu2.shape != (d,):
+            raise ModelError(f"mu2 must have shape ({d},)")
         for name in ("lambda1", "lambda2"):
             lam = getattr(self, name)
             if lam.shape != (d, d):
@@ -118,7 +120,9 @@ class MixtureModel:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "MixtureModel":
+    def from_dict(cls, doc: dict, where: str = "") -> "MixtureModel":
+        """Model from its JSON form; ``where`` prefixes the key named by the
+        ModelError for a value of the wrong type (flags must be booleans)."""
         required = {"weight", "mu1", "mu2", "lambda1", "lambda2", "nu1", "nu2"}
         allowed = required | {"gaussian1", "gaussian2"}
         unknown = set(doc) - allowed
@@ -127,17 +131,16 @@ class MixtureModel:
         missing = required - set(doc)
         if missing:
             raise ModelError(f"missing model keys: {sorted(missing)}")
-        return cls(
-            weight=float(doc["weight"]),
-            mu1=doc["mu1"],
-            mu2=doc["mu2"],
-            lambda1=doc["lambda1"],
-            lambda2=doc["lambda2"],
-            nu1=float(doc["nu1"]),
-            nu2=float(doc["nu2"]),
-            gaussian1=bool(doc.get("gaussian1", False)),
-            gaussian2=bool(doc.get("gaussian2", False)),
-        )
+
+        def checked(key, kind=(int, float)):
+            value = doc.get(key, False)
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ModelError(f"bad value {value!r} for '{where}{key}'")
+            return value
+
+        return cls(float(checked("weight")), doc["mu1"], doc["mu2"], doc["lambda1"],
+                   doc["lambda2"], float(checked("nu1")), float(checked("nu2")),
+                   checked("gaussian1", bool), checked("gaussian2", bool))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -326,9 +329,7 @@ def _mixture_eval(x, p: LossLawParams, density: bool = False):
 def mixture_cdf(params: LossLawParams, x) -> float:
     """CDF of the loss mixture at x (scalar or array)."""
     out = _mixture_eval(np.asarray(x, dtype=float), params)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _component_quantile(alpha: float, gaussian: bool, nu: float, loc, scale) -> float:
@@ -443,3 +444,28 @@ def expected_power_loss(params: LossLawParams, a_plus: float, b_minus: float,
         down = _partial_upper(-q, gauss, nu, p_power)  # symmetry of t / normal
         total += w * scale ** p_power * (a_plus ** p_power * up + b_minus ** p_power * down)
     return float(total)
+
+
+def expectile(params: LossLawParams, tau: float) -> float:
+    """Tau-expectile of the loss law, the x with tau E[(Z - x)_+] = (1 - tau) E[(x - Z)_+]
+    (Newey and Powell 1987): Newton from E Z on F(x) = (1 - 2 tau) E[(Z - x)_+] +
+    (1 - tau)(x - E Z), which is convex or concave with slope between tau and
+    1 - tau, so the iterates approach the root from one side; a step back is noise."""
+    if not (0.0 < tau < 1.0):
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    comps = params.components()
+    x = mean = sum(w * loc for w, loc, _, _, _ in comps)
+    last = 0.0
+    for _ in range(100):
+        upper = sf = 0.0
+        for w, loc, scale, gauss, nu in comps:
+            q = (x - loc) / scale
+            sf_c, ex1 = _tail_moments(q, gauss, nu, 1)
+            upper += w * scale * (ex1 - q * sf_c)
+            sf += w * sf_c
+        step = float(((1.0 - 2.0 * tau) * upper + (1.0 - tau) * (x - mean))
+                     / (1.0 - tau - (1.0 - 2.0 * tau) * sf))
+        if step * last < 0.0 or abs(step) <= 1e-12 * (abs(x) + params.scale1):
+            return x - step
+        x, last = x - step, step
+    raise NumericsError(f"expectile Newton did not converge at tau = {tau}")

@@ -34,10 +34,6 @@ __all__ = [
     "divergence_flag",
 ]
 
-_GOLDEN_RELTOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 class ConvergenceError(RuntimeError):
     """Reference solve did not reach the requested gradient tolerance."""
 
@@ -67,26 +63,6 @@ class RiskBudget:
     @property
     def d(self) -> int:
         return self.b.size
-
-
-def _golden_min(fn, lo: float, hi: float, reltol: float = _GOLDEN_RELTOL):
-    """Golden-section minimum of a unimodal fn on [lo, hi]."""
-    tol = reltol * max(1.0, abs(lo), abs(hi))
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while (b - a) > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = fn(x2)
-    x = 0.5 * (a + b)
-    return x, fn(x)
 
 
 @dataclass(eq=False)
@@ -125,22 +101,14 @@ class ObjectiveContext:
         if m.is_es:
             return "es"
         if m.p_power == 2 and m.a_plus == m.b_minus:
-            try:
-                self._sigma  # noqa: B018 - probe covariance availability
-                return "vol"
-            except mm.NumericsError:
-                pass
-        if self._is_single_centered:
+            return "vol"
+        if self.model.weight >= 1.0 and not np.any(self.model.mu1):
             return "dev_unit"
         return "dev_general"
 
     @cached_property
     def _sigma(self) -> np.ndarray:
         return mm.covariance(self.model)
-
-    @cached_property
-    def _is_single_centered(self) -> bool:
-        return self.model.weight >= 1.0 and not np.any(self.model.mu1)
 
     @cached_property
     def _unit_loss_min(self) -> float:
@@ -151,14 +119,14 @@ class ObjectiveContext:
         return self._loss_min(unit)[1]
 
     def _loss_min(self, params: mm.LossLawParams):
-        """(xi*, min_xi E[L(xi, Z)]) by golden section between the 0.1% and
-        99.9% quantiles of the loss law."""
+        """(xi*, min_xi E[L(xi, Z)]) from the first-order condition in xi:
+        xi* is the a/(a+b) quantile for p = 1 (Koenker and Bassett 1978) and
+        the a^2/(a^2+b^2) expectile for p = 2 (Newey and Powell 1987)."""
         m = self.measure
-        lo = mm.var_exact(params, 0.001)
-        hi = mm.var_exact(params, 0.999)
-        return _golden_min(
-            lambda xi: mm.expected_power_loss(params, m.a_plus, m.b_minus, m.p_power, xi),
-            lo, hi)
+        a, b = m.a_plus, m.b_minus
+        xi = (mm.var_exact(params, a / (a + b)) if m.p_power == 1
+              else mm.expectile(params, a * a / (a * a + b * b)))
+        return xi, mm.expected_power_loss(params, a, b, m.p_power, xi)
 
     # -- outer objective g(r(y)) ------------------------------------------
 

@@ -89,8 +89,17 @@ def test_bad_json_config(tmp_path):
     (("epsilons",), 5),
     (("optimizer", "epochs"), None),
     (("model", "inline"), 5),
+    (("model", "inline", "weight"), None),
+    (("model", "inline", "nu1"), [3.0]),
+    (("model", "inline", "gaussian1"), "false"),
+    (("samples",), 2.7),
+    (("optimizer", "epochs"), 1.5),
+    (("optimizer", "record_every"), 99.9),
+    (("seed",), True),
+    (("measure", "alpha"), True),
 ], ids=["samples-null", "seed-null", "replications-list", "epsilons-number", "epochs-null",
-        "inline-number"])
+        "inline-number", "weight-null", "nu1-list", "gaussian1-string", "samples-fraction",
+        "epochs-fraction", "record-every-fraction", "seed-bool", "alpha-bool"])
 def test_wrong_value_type_is_a_config_error(capsys, tmp_path, path, value):
     doc = run_config(tmp_path)
     *parents, key = path

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rbmd import market_models as mm
@@ -162,6 +164,18 @@ def test_var_cdf_roundtrip_property():
         assert abs(mm.mixture_cdf(p, q) - alpha) <= 1e-10
 
 
+@settings(max_examples=50)
+@given(weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+       alphas=st.lists(st.floats(1e-4, 1.0 - 1e-4), min_size=2, max_size=2))
+def test_var_nondecreasing_in_alpha(bench_model, weights, alphas):
+    # levels closer than the solver's 1e-12 cdf tolerance are not ordered
+    lo, hi = sorted(alphas)
+    if lo < hi:
+        hi = max(hi, lo + 1e-9)
+    p = mm.portfolio_loss_params(bench_model, np.array(weights))
+    assert mm.var_exact(p, lo) <= mm.var_exact(p, hi)
+
+
 def test_es_reference_value(bench_model):
     w = np.array([0.2535, 0.3866, 0.3599])
     p = mm.portfolio_loss_params(bench_model, w)
@@ -272,3 +286,19 @@ def test_expected_power_loss_matches_quadrature():
         expected, _ = quad(integrand, -np.inf, np.inf, limit=300)
         got = mm.expected_power_loss(p, a, b, power, xi)
         assert got == pytest.approx(expected, rel=1e-6)
+
+
+def test_expectile_solves_its_defining_equation():
+    # tau E[(Z - x)_+] = (1 - tau) E[(x - Z)_+], both sides by expected_power_loss
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        p = random_loss_params(rng)
+        for tau in (1e-4, 0.1, 0.5, 0.75, 0.9999):
+            x = mm.expectile(p, tau)
+            upper = mm.expected_power_loss(p, 1.0, 0.0, 1, x)
+            lower = mm.expected_power_loss(p, 0.0, 1.0, 1, x)
+            assert tau * upper == pytest.approx((1.0 - tau) * lower, rel=1e-10)
+        mean = p.weight * p.loc1 + (1.0 - p.weight) * p.loc2
+        assert mm.expectile(p, 0.5) == pytest.approx(mean, rel=1e-12, abs=1e-15)
+    with pytest.raises(ValueError):
+        mm.expectile(p, 1.0)

@@ -173,6 +173,45 @@ def test_euler_identity(case, g_mode, weights):
             == pytest.approx(degree * ctx.outer_value(u), rel=1e-7))
 
 
+@pytest.mark.parametrize("spec", [
+    rl.MeasureSpec.mad(),
+    rl.MeasureSpec.variantile(0.75),
+    rl.MeasureSpec.variantile(0.9999),
+    rl.MeasureSpec.deviation(1.0, 2.0, 2),
+    rl.MeasureSpec.deviation(1.0, 1e-4, 1),
+], ids=["mad", "variantile-0.75", "variantile-0.9999", "dev-1-2-2", "dev-1-1e-4-1"])
+def test_inner_minimum_matches_scalar_minimizer(spec):
+    # g(r(y)) = min_xi E[L(xi, Z)] against a bounded scalar minimizer whose
+    # bracket, the 1e-7 and 1 - 1e-7 quantiles, holds xi* for every level here
+    from scipy.optimize import minimize_scalar
+    rng = np.random.default_rng(11)
+    models = [make_bench_model()] + [random_mixture_model(rng, d) for d in (3, 3, 10)]
+    for model in models:
+        y = rng.uniform(0.2, 2.0, model.d)
+        ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(model.d), spec, model, g_mode="power")
+        params = mm.portfolio_loss_params(model, y)
+        lo, hi = mm.var_exact(params, 1e-7), mm.var_exact(params, 1.0 - 1e-7)
+        oracle = minimize_scalar(
+            lambda xi: mm.expected_power_loss(params, spec.a_plus, spec.b_minus,
+                                              spec.p_power, xi),
+            bounds=(lo, hi), method="bounded", options={"xatol": 1e-12 * (hi - lo)})
+        assert lo + 1e-3 * (hi - lo) < oracle.x < hi - 1e-3 * (hi - lo)
+        assert ctx.outer_value(y) == pytest.approx(oracle.fun, rel=1e-10)
+
+
+@pytest.mark.parametrize("case", sorted({case for case, _ in MODE_CONTEXTS}))
+@settings(max_examples=25)
+@given(w1=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+       w2=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+       lam=st.floats(0.01, 100.0))
+def test_risk_is_positively_homogeneous_and_subadditive(case, w1, w2, lam):
+    ctx = MODE_CONTEXTS[case, "identity"]
+    y1, y2 = np.array(w1), np.array(w2)
+    r1, r2 = ctx.risk_value(y1), ctx.risk_value(y2)
+    assert ctx.risk_value(lam * y1) == pytest.approx(lam * r1, rel=1e-10)
+    assert ctx.risk_value(y1 + y2) <= (r1 + r2) * (1.0 + 1e-10)
+
+
 def test_gamma_gradient_vanishes_at_reference(es_ctx, bench_reference):
     grad = rb.gamma_gradient(es_ctx, bench_reference.y_raw)
     assert np.abs(grad).max() <= 1e-6
