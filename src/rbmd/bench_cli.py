@@ -7,7 +7,9 @@ Subcommands (all read a JSON config and write into an output directory):
   compare      seeded replication sweep over several optimizers
   figure-data  melt trace CSVs of a finished run into long-format series
 
-Exit codes: 0 success, 1 config/IO error, 2 convergence or numerics failure.
+Exit codes: 0 success, 1 usage/config/IO error, 2 convergence or numerics failure,
+3 internal error (a bug: the message names the exception type).  Every
+failure prints one ``error:`` line on stderr.
 """
 
 import argparse
@@ -45,52 +47,6 @@ OPTIMIZER_NAMES = ("dmd", "smd", "sgd-tamed", "sgd-classical")
 
 class ConfigError(ValueError):
     """Bad experiment config; the message names the offending key."""
-
-
-def _nearest_gamma0(table: dict, d: int) -> float:
-    key = min(table, key=lambda k: abs(k - d))
-    return table[key]
-
-
-def _reject_unknown(doc: dict, allowed, where: str) -> None:
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError(f"missing key '{key}' in {where}")
-    return doc[key]
-
-
-def _convert(value, kind, key: str):
-    """``kind(value)``, or a ConfigError naming ``key`` when the value has the
-    wrong type: null, a string, a list or a boolean for a number, a number for
-    a list, or a fraction such as 2.7 for an integer."""
-    try:
-        if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, float))
-                                     or kind is int and value != int(value)):
-            raise TypeError(f"not a {kind.__name__}")
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value {value!r} for '{key}'") from exc
-
-
-def _convert_keys(doc: dict, kinds: dict, where: str) -> dict:
-    """Copy of ``doc`` with the value of each key in ``kinds`` converted."""
-    return {key: _convert(value, kinds[key], f"{where}.{key}") if key in kinds else value
-            for key, value in doc.items()}
-
-
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-_OPTIMIZER_NUMBERS = {"m_cap": float, "iterations": int, "epochs": int, "xi0": float,
-                      "y0": _float_array, "record_every": int, "tail_fraction": float,
-                      "grad_tol": float, "tamed_gamma0": float, "classical_gamma0": float,
-                      "beta": float}
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +91,114 @@ def generate_model(d: int, seed: int) -> mm.MixtureModel:
 # Config parsing
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()  # default of a key that must be given
+
+# The config schema: key -> (kind, default).  A kind is a type (int, float,
+# str or dict), a tuple of the allowed strings (optionally ending in the kind
+# that any other value must have), [kind] for a list, or a nested table.  A
+# default of None leaves the key absent, and the command that reads it
+# resolves it: as the comment says, and model.synthetic.seed to the run's seed.
+_SCHEMA = {
+    "model": ({"file": (str, None), "inline": (dict, None),  # exactly one of the three
+               "synthetic": ({"d": (int, REQUIRED), "seed": (int, None)}, None)},
+              None),                         # reference and run: required
+    "budget": (("uniform", [float]), "uniform"),
+    "measure": (dict, {"kind": "es"}),       # its keys depend on its kind: _MEASURES
+    "optimizer": ({
+        "algorithm": (OPTIMIZER_NAMES, "smd"),
+        "schedule": ({"kind": (("constant", "power"), REQUIRED), "gamma0": (float, 1.0),
+                      "beta": (float, 0.0)}, None),  # run: required
+        "m_cap": (float, None),              # run: 100 for d <= 10, else 100 d
+        "iterations": (int, None),           # the sample count
+        "epochs": (int, 1),
+        "xi0": (float, 0.0),
+        "y0": ([float], None),               # mirror_descent.default_y0
+        "record_every": (int, 100),
+        "tail_fraction": (float, 0.2),
+        "grad_tol": (float, None),           # no gradient stop
+        "tamed_gamma0": (float, None),       # compare: TAMED_GAMMA0
+        "classical_gamma0": (float, None),   # compare: CLASSICAL_GAMMA0
+        "beta": (float, 0.65),
+    }, {}),
+    "optimizers": ([OPTIMIZER_NAMES], ["smd", "sgd-tamed", "sgd-classical"]),
+    "samples": (int, 100_000),
+    "replications": (int, 1),
+    "dimensions": ([int], [10]),
+    "seed": (int, 0),
+    "tolerance": (float, 1e-10),
+    "epsilons": ([float], list(DIVERGENCE_EPSILONS)),
+    "input": (str, None),                    # figure-data: required
+}
+
+# Measure kind -> (its MeasureSpec factory, the factory's keys with defaults)
+_MEASURES = {
+    "es": (rl.MeasureSpec.expected_shortfall, {"alpha": (float, 0.95)}),
+    "deviation": (rl.MeasureSpec.deviation, {"a": (float, 1.0), "b": (float, 1.0),
+                                             "p": (int, 2)}),
+    "volatility": (rl.MeasureSpec.volatility, {}),
+    "mad": (rl.MeasureSpec.mad, {}),
+    "variantile": (rl.MeasureSpec.variantile, {"alpha": (float, 0.75)}),
+}
+
+
+def _check(value, kind, where: str):
+    """Copy of ``value`` checked against ``kind`` (see _SCHEMA), with the
+    defaults of its tables filled in.  Numbers must be JSON numbers, not
+    booleans or strings, and an int must be integral; a ConfigError names the
+    first bad key by its dotted path ``where``."""
+    if value is REQUIRED:
+        raise ConfigError(f"missing key '{where}'")
+    if isinstance(kind, dict):
+        if isinstance(value, dict):
+            unknown = set(value) - set(kind)
+            if unknown:
+                raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where or 'config'}")
+            return {key: _check(value.get(key, default), sub, f"{where}.{key}".lstrip("."))
+                    for key, (sub, default) in kind.items() if key in value or default is not None}
+    elif isinstance(kind, list):
+        if isinstance(value, list):
+            return [_check(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    elif isinstance(kind, tuple):
+        if not isinstance(value, str) and not isinstance(kind[-1], str):
+            return _check(value, kind[-1], where)
+        if value in kind:
+            return value
+    elif kind in (int, float):
+        try:
+            if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and (kind is float or value == int(value))):
+                return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise ConfigError(f"bad value {value!r} for '{where or 'config'}'")
+
+
+def _measure(doc: dict) -> rl.MeasureSpec:
+    """The measure section, whose kind picks the keys it takes."""
+    factory, keys = _MEASURES[_check(doc.get("kind", REQUIRED), tuple(_MEASURES), "measure.kind")]
+    args = _check({key: v for key, v in doc.items() if key != "kind"}, keys, "measure")
+    try:
+        return factory(**args)
+    except ValueError as exc:
+        raise ConfigError(f"bad measure: {exc}") from exc
+
+
+def _optimizer_config(schedule: dict, **knobs) -> md.OptimizerConfig:
+    """OptimizerConfig from config values, whose ValueError is a ConfigError."""
+    try:
+        return md.OptimizerConfig(schedule=md.StepSchedule(**schedule), **knobs)
+    except ValueError as exc:
+        raise ConfigError(f"bad optimizer config: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (see README for the schema)."""
+    """Validated experiment description (see _SCHEMA and the README)."""
 
     raw: dict
-    model_spec: dict
+    model_spec: dict | None
     budget_spec: object
     measure: rl.MeasureSpec
     optimizer: dict
@@ -150,200 +208,78 @@ class ExperimentConfig:
     dimensions: list
     seed: int
     tolerance: float
-    epsilons: tuple
+    epsilons: list
     input_dir: str | None
 
     @classmethod
     def parse(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be an object")
-        allowed = {"model", "budget", "measure", "optimizer", "optimizers",
-                   "samples", "replications", "dimensions", "seed",
-                   "tolerance", "epsilons", "input"}
-        _reject_unknown(doc, allowed, "config")
-        model_spec = doc.get("model")
-        if model_spec is not None:
-            if not isinstance(model_spec, dict):
-                raise ConfigError("'model' must be an object")
-            _reject_unknown(model_spec, {"file", "inline", "synthetic"}, "model")
-            if len(model_spec) != 1:
-                raise ConfigError("'model' needs exactly one of file | inline | synthetic")
-            (kind, spec), = model_spec.items()
-            if not isinstance(spec, str if kind == "file" else dict):
-                raise ConfigError(f"model.{kind} must be a "
-                                  + ("path" if kind == "file" else "JSON object"))
-            if kind == "synthetic":
-                _reject_unknown(spec, {"d", "seed"}, "model.synthetic")
-                model_spec = {kind: _convert_keys(spec, {"d": int, "seed": int}, "model.synthetic")}
-        budget_spec = doc.get("budget", "uniform")
-        if isinstance(budget_spec, str):
-            if budget_spec != "uniform":
-                raise ConfigError(f"unknown budget preset {budget_spec!r}; "
-                                  "use \"uniform\" or a list of positive shares")
-        elif isinstance(budget_spec, list):
-            budget_spec = _convert(budget_spec, _float_array, "budget")
-            if (budget_spec.ndim != 1 or budget_spec.size == 0 or np.any(budget_spec <= 0.0)
-                    or not np.all(np.isfinite(budget_spec))):
-                raise ConfigError("budget entries must be positive finite numbers")
-        else:
-            raise ConfigError("budget must be \"uniform\" or a list")
-        measure = _parse_measure(doc.get("measure", {"kind": "es", "alpha": 0.95}))
-        optimizer = doc.get("optimizer", {})
-        if not isinstance(optimizer, dict):
-            raise ConfigError("'optimizer' must be an object")
-        _reject_unknown(optimizer, {"algorithm", "schedule", *_OPTIMIZER_NUMBERS}, "optimizer")
-        optimizer = _convert_keys(optimizer, _OPTIMIZER_NUMBERS, "optimizer")
-        sched = optimizer.get("schedule")
-        if sched is not None:
-            if not isinstance(sched, dict):
-                raise ConfigError("optimizer.schedule must be an object")
-            _reject_unknown(sched, {"kind", "gamma0", "beta"}, "optimizer.schedule")
-            optimizer["schedule"] = _convert_keys(sched, {"gamma0": float, "beta": float},
-                                                  "optimizer.schedule")
-        optimizers = doc.get("optimizers", ["smd", "sgd-tamed", "sgd-classical"])
-        if not isinstance(optimizers, list) or not optimizers:
-            raise ConfigError("'optimizers' must be a nonempty list")
-        for name in optimizers:
-            if name not in OPTIMIZER_NAMES:
-                raise ConfigError(f"unknown optimizer {name!r} in 'optimizers'")
-        samples = _convert(doc.get("samples", 100_000), int, "samples")
-        if samples < 1:
-            raise ConfigError("'samples' must be >= 1")
-        replications = _convert(doc.get("replications", 1), int, "replications")
-        if replications < 1:
-            raise ConfigError("'replications' must be >= 1")
-        dimensions = doc.get("dimensions", [10])
-        if not isinstance(dimensions, list):
-            raise ConfigError("'dimensions' must be a list of sizes >= 2")
-        dimensions = [_convert(d, int, "dimensions") for d in dimensions]
-        if not all(d >= 2 for d in dimensions):
-            raise ConfigError("'dimensions' must be a list of sizes >= 2")
-        epsilons = doc.get("epsilons", list(DIVERGENCE_EPSILONS))
-        if not isinstance(epsilons, list):
-            raise ConfigError("'epsilons' must be a list of positive numbers")
-        epsilons = tuple(_convert(e, float, "epsilons") for e in epsilons)
-        if any(e <= 0 for e in epsilons):
-            raise ConfigError("'epsilons' must be positive")
-        return cls(
-            raw=doc,
-            model_spec=model_spec,
-            budget_spec=budget_spec,
-            measure=measure,
-            optimizer=optimizer,
-            optimizers=list(optimizers),
-            samples=samples,
-            replications=replications,
-            dimensions=dimensions,
-            seed=_convert(doc.get("seed", 0), int, "seed"),
-            tolerance=_convert(doc.get("tolerance", 1e-10), float, "tolerance"),
-            epsilons=epsilons,
-            input_dir=doc.get("input"),
-        )
+        cfg = _check(doc, _SCHEMA, "")
+        if "model" in cfg and len(cfg["model"]) != 1:
+            raise ConfigError("'model' needs exactly one of file | inline | synthetic")
+        budget = cfg["budget"]
+        for key, ok, rule in (
+                ("budget", budget == "uniform"
+                 or budget and all(0.0 < b < math.inf for b in budget),
+                 "\"uniform\" or a list of positive finite shares"),
+                ("optimizers", cfg["optimizers"], "a nonempty list"),
+                ("samples", cfg["samples"] >= 1, ">= 1"),
+                ("replications", cfg["replications"] >= 1, ">= 1"),
+                ("dimensions", all(d >= 2 for d in cfg["dimensions"]), "a list of sizes >= 2"),
+                ("tolerance", cfg["tolerance"] > 0.0, "positive"),
+                ("epsilons", all(e > 0.0 for e in cfg["epsilons"]), "a list of positive numbers")):
+            if not ok:
+                raise ConfigError(f"'{key}' must be {rule}")
+        return cls(raw=doc, model_spec=cfg.get("model"), budget_spec=budget,
+                   measure=_measure(cfg["measure"]), input_dir=cfg.get("input"),
+                   **{key: cfg[key] for key in ("optimizer", "optimizers", "samples",
+                                                "replications", "dimensions", "seed",
+                                                "tolerance", "epsilons")})
 
     def build_model(self, seed: int) -> mm.MixtureModel:
-        if self.model_spec is None:
+        spec = self.model_spec
+        if spec is None:
             raise ConfigError("missing key 'model' in config")
-        if "file" in self.model_spec:
-            path = Path(self.model_spec["file"])
-            if not path.exists():
-                raise ConfigError(f"model file not found: {path}")
-            try:
-                return mm.MixtureModel.load(path)
-            except (mm.ModelError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"bad model file {path}: {exc}") from exc
-        if "inline" in self.model_spec:
-            try:
-                return mm.MixtureModel.from_dict(self.model_spec["inline"], "model.inline.")
-            except mm.ModelError as exc:
-                raise ConfigError(f"bad inline model: {exc}") from exc
-        synth = self.model_spec["synthetic"]
-        return generate_model(_require(synth, "d", "model.synthetic"), synth.get("seed", seed))
+        if "synthetic" in spec:
+            synth = spec["synthetic"]
+            return generate_model(synth["d"], synth["seed"] if "seed" in synth else seed)
+        try:
+            if "file" in spec:
+                return mm.MixtureModel.load(spec["file"])
+            return mm.MixtureModel.from_dict(spec["inline"], "model.inline.")
+        except (OSError, ValueError) as exc:  # ModelError, bad JSON or UTF-8, a NUL in the path
+            source = f"model file {spec['file']}" if "file" in spec else "inline model"
+            raise ConfigError(f"bad {source}: {exc}") from exc
 
     def build_budget(self, d: int) -> rb.RiskBudget:
-        if isinstance(self.budget_spec, str):
+        if self.budget_spec == "uniform":
             return rb.RiskBudget.uniform(d)
-        if self.budget_spec.size != d:
-            raise ConfigError(f"budget has {self.budget_spec.size} entries for a {d}-asset model")
+        if len(self.budget_spec) != d:
+            raise ConfigError(f"budget has {len(self.budget_spec)} entries for a {d}-asset model")
         return rb.RiskBudget(self.budget_spec)
 
-    def build_optimizer_config(self, model: mm.MixtureModel, n_iterations: int,
-                               default_m: float | None = None) -> md.OptimizerConfig:
+    def build_optimizer_config(self, model: mm.MixtureModel) -> md.OptimizerConfig:
         opt = self.optimizer
         d = model.d
-        m_cap = opt.get("m_cap", default_m if default_m is not None
-                        else (100.0 if d <= 10 else 100.0 * d))
-        sched = opt.get("schedule")
-        if sched is None:
-            raise ConfigError("missing key 'schedule' in optimizer")
-        kind = _require(sched, "kind", "optimizer.schedule")
-        try:
-            schedule = md.StepSchedule(kind, sched.get("gamma0", 1.0), sched.get("beta", 0.0))
-        except ValueError as exc:
-            raise ConfigError(f"bad optimizer.schedule: {exc}") from exc
-        if "y0" in opt:
-            y0 = opt["y0"]
-            if y0.size != d:
-                raise ConfigError("optimizer.y0 dimension mismatch")
-        else:
-            y0 = md.default_y0(model, m_cap)
-        try:
-            return md.OptimizerConfig(
-                m_cap=m_cap,
-                schedule=schedule,
-                iterations=opt.get("iterations", n_iterations),
-                y0=y0,
-                epochs=opt.get("epochs", 1),
-                xi0=opt.get("xi0", 0.0),
-                record_every=opt.get("record_every", 100),
-                tail_fraction=opt.get("tail_fraction", 0.2),
-                grad_tol=opt.get("grad_tol"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad optimizer config: {exc}") from exc
-
-
-def _parse_measure(doc) -> rl.MeasureSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError("'measure' must be an object")
-    kind = _require(doc, "kind", "measure")
-    doc = _convert_keys(doc, {"alpha": float, "a": float, "b": float, "p": int}, "measure")
-    if kind == "es":
-        _reject_unknown(doc, {"kind", "alpha"}, "measure")
-        try:
-            return rl.MeasureSpec.expected_shortfall(doc.get("alpha", 0.95))
-        except ValueError as exc:
-            raise ConfigError(f"bad measure: {exc}") from exc
-    if kind == "deviation":
-        _reject_unknown(doc, {"kind", "a", "b", "p"}, "measure")
-        try:
-            return rl.MeasureSpec.deviation(doc.get("a", 1.0), doc.get("b", 1.0), doc.get("p", 2))
-        except ValueError as exc:
-            raise ConfigError(f"bad measure: {exc}") from exc
-    if kind == "volatility":
-        _reject_unknown(doc, {"kind"}, "measure")
-        return rl.MeasureSpec.volatility()
-    if kind == "mad":
-        _reject_unknown(doc, {"kind"}, "measure")
-        return rl.MeasureSpec.mad()
-    if kind == "variantile":
-        _reject_unknown(doc, {"kind", "alpha"}, "measure")
-        try:
-            return rl.MeasureSpec.variantile(doc.get("alpha", 0.75))
-        except ValueError as exc:
-            raise ConfigError(f"bad measure: {exc}") from exc
-    raise ConfigError(f"unknown measure kind {kind!r}")
+        if "schedule" not in opt:
+            raise ConfigError("missing key 'optimizer.schedule'")
+        m_cap = opt["m_cap"] if "m_cap" in opt else (100.0 if d <= 10 else 100.0 * d)
+        y0 = np.array(opt["y0"]) if "y0" in opt else md.default_y0(model, m_cap)
+        if y0.size != d:
+            raise ConfigError("optimizer.y0 dimension mismatch")
+        return _optimizer_config(
+            opt["schedule"], m_cap=m_cap, y0=y0,
+            iterations=opt["iterations"] if "iterations" in opt else self.samples,
+            epochs=opt["epochs"], xi0=opt["xi0"], record_every=opt["record_every"],
+            tail_fraction=opt["tail_fraction"], grad_tol=opt.get("grad_tol"),
+            record_weights=True)
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON or UTF-8, or a NUL in the path
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return ExperimentConfig.parse(doc)
-
 
 # ---------------------------------------------------------------------------
 # Output helpers
@@ -412,11 +348,7 @@ def cmd_reference(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     model = config.build_model(seed)
     budget = config.build_budget(model.d)
     ctx = rb.ObjectiveContext(budget, config.measure, model)
-    try:
-        report = rb.reference_portfolio(ctx, tol=config.tolerance)
-    except rb.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = rb.reference_portfolio(ctx, tol=config.tolerance)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "reference.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     write_manifest(out_dir, config, seed)
@@ -429,22 +361,15 @@ def _execute_run(name: str, ctx, samples, cfg, gamma_star):
         return md.dmd_run(ctx, cfg, gamma_star=gamma_star)
     if name == "smd":
         return md.smd_run(ctx, samples, cfg, gamma_star=gamma_star)
-    if name == "sgd-tamed":
-        return md.sgd_run("tamed", ctx, samples, cfg, gamma_star=gamma_star)
-    if name == "sgd-classical":
-        return md.sgd_run("classical", ctx, samples, cfg, gamma_star=gamma_star)
-    raise ConfigError(f"unknown optimizer {name!r}")
+    return md.sgd_run(name.removeprefix("sgd-"), ctx, samples, cfg, gamma_star=gamma_star)
 
 
 def cmd_run(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     model = config.build_model(seed)
     budget = config.build_budget(model.d)
     ctx = rb.ObjectiveContext(budget, config.measure, model)
-    algorithm = config.optimizer.get("algorithm", "smd")
-    if algorithm not in OPTIMIZER_NAMES:
-        raise ConfigError(f"unknown optimizer algorithm {algorithm!r}")
-    cfg = config.build_optimizer_config(model, n_iterations=config.samples)
-    cfg.record_weights = True
+    algorithm = config.optimizer["algorithm"]
+    cfg = config.build_optimizer_config(model)
     samples = None
     if algorithm != "dmd":
         samples = mm.sample_returns(model, config.samples, seed=seed ^ _SAMPLE_SEED_SALT)
@@ -514,24 +439,16 @@ def run_replication(config: ExperimentConfig, d: int, index: int):
     y0 = y0 / ctx.risk_value(y0)
     if y0.sum() > m_cap:
         y0 = y0 * (m_cap / y0.sum())
-    beta = config.optimizer.get("beta", 0.65)
-    epochs = config.optimizer.get("epochs", 1)
-    total = n * epochs
+    opt = config.optimizer
+    total = n * opt["epochs"]
     rows = []
     for name in config.optimizers:
-        if name == "sgd-classical":
-            gamma0 = config.optimizer.get("classical_gamma0",
-                                          _nearest_gamma0(CLASSICAL_GAMMA0, d))
-        else:
-            gamma0 = config.optimizer.get("tamed_gamma0", _nearest_gamma0(TAMED_GAMMA0, d))
-        cfg = md.OptimizerConfig(
-            m_cap=m_cap,
-            schedule=md.StepSchedule.power(gamma0, beta),
-            iterations=total,
-            y0=y0,
-            epochs=epochs,
-            record_every=max(1, total // 10),
-        )
+        key, table = (("classical_gamma0", CLASSICAL_GAMMA0) if name == "sgd-classical"
+                      else ("tamed_gamma0", TAMED_GAMMA0))
+        gamma0 = opt[key] if key in opt else table[min(table, key=lambda k: abs(k - d))]
+        cfg = _optimizer_config({"kind": "power", "gamma0": gamma0, "beta": opt["beta"]},
+                                m_cap=m_cap, iterations=total, y0=y0, epochs=opt["epochs"],
+                                record_every=max(1, total // 10))
         result = _execute_run(name, ctx, samples, cfg, gamma_star)
         gaps = _checkpoint_gaps(result.gap_trace, total)
         final_gap = result.gap_trace[-1][1] if result.gap_trace else math.inf
@@ -620,39 +537,38 @@ def cmd_figure_data(config: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("missing key 'input' in config")
     src = Path(config.input_dir)
     if not src.is_dir():
-        print(f"error: input directory not found: {src}", file=sys.stderr)
-        return 1
-    traces = sorted(src.glob("*.csv"))
-    traces = [t for t in traces if t.name not in ("replications.csv", "aggregate.csv")]
+        raise ConfigError(f"input directory not found: {src}")
+    traces = [t for t in sorted(src.glob("*.csv"))
+              if t.name not in ("replications.csv", "aggregate.csv")]
     if not traces:
-        print(f"error: no trace CSVs in {src}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"no trace CSVs in {src}")
     out_rows = []
     for trace in traces:
-        with open(trace, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "iter" not in reader.fieldnames:
-                print(f"error: {trace} is not a trace CSV", file=sys.stderr)
-                return 1
-            y_cols = [c for c in reader.fieldnames if c.startswith("y_")]
-            n_rows = 0
-            for row in reader:
-                n_rows += 1
-                it = row["iter"]
-                stem = trace.stem
-                y = np.array([float(row[c]) for c in y_cols])
-                if y.size:
-                    total = y.sum()
-                    for i, c in enumerate(y_cols):
-                        out_rows.append([f"{stem}.{c}", it, _fmt(y[i])])
-                        if total > 0:
-                            out_rows.append([f"{stem}.u_{i + 1}", it, _fmt(y[i] / total)])
-                for col in ("gap", "xi"):
-                    if col in row and row[col] not in ("", "nan"):
-                        out_rows.append([f"{stem}.{col}", it, row[col]])
-        if n_rows == 0:
-            print(f"error: empty trace {trace}", file=sys.stderr)
-            return 1
+        stem = trace.stem
+        try:
+            with open(trace, newline="") as fh:
+                reader = csv.DictReader(fh)
+                if reader.fieldnames is None or "iter" not in reader.fieldnames:
+                    raise ValueError("no 'iter' column")
+                y_cols = [c for c in reader.fieldnames if c.startswith("y_")]
+                n_rows = 0
+                for row in reader:
+                    n_rows += 1
+                    it = row["iter"]
+                    y = np.array([float(row[c]) for c in y_cols])
+                    if y.size:
+                        total = y.sum()
+                        for i, c in enumerate(y_cols):
+                            out_rows.append([f"{stem}.{c}", it, _fmt(y[i])])
+                            if total > 0:
+                                out_rows.append([f"{stem}.u_{i + 1}", it, _fmt(y[i] / total)])
+                    for col in ("gap", "xi"):
+                        if col in row and row[col] not in ("", "nan"):
+                            out_rows.append([f"{stem}.{col}", it, row[col]])
+            if n_rows == 0:
+                raise ValueError("no rows")
+        except (TypeError, ValueError, csv.Error) as exc:  # a short row reads None
+            raise ConfigError(f"bad trace CSV {trace}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "figure_data.csv", ["series", "iter", "value"], out_rows)
     print(f"figure data written to {out_dir / 'figure_data.csv'}")
@@ -663,17 +579,21 @@ def cmd_figure_data(config: ExperimentConfig, out_dir: Path) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print the usage too and exit 2, the convergence code
+        raise ConfigError(f"command line: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="rbmd",
-                                     description="Risk-budgeting portfolio benchmarks")
+    parser = _Parser(prog="rbmd", description="Risk-budgeting portfolio benchmarks")
     parser.add_argument("command", choices=["reference", "run", "compare", "figure-data"])
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--threads", type=int, default=1, help="replication workers")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         config = load_config(args.config)
         seed = config.seed if args.seed is None else args.seed
         out_dir = Path(args.out)
@@ -684,12 +604,14 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(config, out_dir, seed, threads=max(1, args.threads))
         return cmd_figure_data(config, out_dir)
-    except (mm.ModelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ConfigError, mm.ModelError, OSError) as exc:
+        code, message = 1, str(exc)
     except (rb.ConvergenceError, mm.NumericsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
+    except Exception as exc:  # a bug, not bad input: say which exception
+        code, message = 3, f"internal: {type(exc).__name__}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -44,6 +44,26 @@ class NumericsError(RuntimeError):
     """A semi-analytic routine failed to attain its stated tolerance."""
 
 
+# JSON model key -> the dimensions of its value: 0 a number, 1 a vector, 2 a
+# matrix (a list of equal-length vectors), None a boolean flag
+_MODEL_KEYS = {"weight": 0, "nu1": 0, "nu2": 0, "mu1": 1, "mu2": 1, "lambda1": 2, "lambda2": 2,
+               "gaussian1": None, "gaussian2": None}
+
+
+def _json_value(value, ndim: int | None):
+    """``value`` checked against ``ndim`` (see _MODEL_KEYS): numbers must be
+    finite JSON numbers, not booleans, and become floats or arrays."""
+    if ndim is None:
+        if isinstance(value, bool):
+            return value
+    elif ndim == 0:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    elif isinstance(value, list):
+        return np.array([_json_value(v, ndim - 1) for v in value])  # ragged: ValueError
+    raise TypeError("wrong type")
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureModel:
     """p * t(mu1, lambda1, nu1) + (1 - p) * t(mu2, lambda2, nu2)."""
@@ -121,26 +141,23 @@ class MixtureModel:
 
     @classmethod
     def from_dict(cls, doc: dict, where: str = "") -> "MixtureModel":
-        """Model from its JSON form; ``where`` prefixes the key named by the
-        ModelError for a value of the wrong type (flags must be booleans)."""
-        required = {"weight", "mu1", "mu2", "lambda1", "lambda2", "nu1", "nu2"}
-        allowed = required | {"gaussian1", "gaussian2"}
-        unknown = set(doc) - allowed
+        """Model from its JSON form; a ModelError names the first bad key,
+        prefixed by ``where``."""
+        if not isinstance(doc, dict):
+            raise ModelError(f"model must be a JSON object, got {doc!r}")
+        unknown = set(doc) - set(_MODEL_KEYS)
         if unknown:
             raise ModelError(f"unknown model keys: {sorted(unknown)}")
-        missing = required - set(doc)
+        missing = set(_MODEL_KEYS) - set(doc) - {"gaussian1", "gaussian2"}
         if missing:
             raise ModelError(f"missing model keys: {sorted(missing)}")
-
-        def checked(key, kind=(int, float)):
-            value = doc.get(key, False)
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-                raise ModelError(f"bad value {value!r} for '{where}{key}'")
-            return value
-
-        return cls(float(checked("weight")), doc["mu1"], doc["mu2"], doc["lambda1"],
-                   doc["lambda2"], float(checked("nu1")), float(checked("nu2")),
-                   checked("gaussian1", bool), checked("gaussian2", bool))
+        fields = {}
+        for key, value in doc.items():
+            try:
+                fields[key] = _json_value(value, _MODEL_KEYS[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ModelError(f"bad value {value!r} for '{where}{key}'") from exc
+        return cls(**fields)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rbmd import bench_cli as bc
 from rbmd import market_models as mm
@@ -42,6 +46,14 @@ def run_config(tmp_path):
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
+
+def set_path(doc, path, value):
+    """Put ``value`` at the key path ``path`` of ``doc``, adding missing sections."""
+    *parents, key = path
+    for name in parents:
+        doc = doc.setdefault(name, {})
+    doc[key] = value
+
 
 def test_unknown_keys_rejected():
     with pytest.raises(bc.ConfigError, match="bogus"):
@@ -97,22 +109,146 @@ def test_bad_json_config(tmp_path):
     (("optimizer", "record_every"), 99.9),
     (("seed",), True),
     (("measure", "alpha"), True),
+    (("model", "inline", "mu1"), [None, 0.0002, -0.0003]),
+    (("model", "inline", "mu1"), "abc"),
+    (("model", "inline", "lambda1"), [9e-5, 3e-5, 5e-5]),
+    (("input",), 5),
+    (("optimizer", "y0"), [[1.0, 1.0, 1.0]]),
 ], ids=["samples-null", "seed-null", "replications-list", "epsilons-number", "epochs-null",
         "inline-number", "weight-null", "nu1-list", "gaussian1-string", "samples-fraction",
-        "epochs-fraction", "record-every-fraction", "seed-bool", "alpha-bool"])
+        "epochs-fraction", "record-every-fraction", "seed-bool", "alpha-bool",
+        "mu1-null-entry", "mu1-string", "lambda1-flat", "input-number", "y0-nested"])
 def test_wrong_value_type_is_a_config_error(capsys, tmp_path, path, value):
     doc = run_config(tmp_path)
-    *parents, key = path
-    target = doc
-    for name in parents:
-        target = target[name]
-    target[key] = value
+    set_path(doc, path, value)
     code = bc.main(["run", "--config", write_config(tmp_path, doc),
                     "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ".".join(path) in err
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["model-file-is-directory", "model-file-root-number",
+                                  "model-file-nul-byte", "config-is-directory",
+                                  "config-nul-byte", "out-below-file"])
+def test_file_and_io_failures_are_one_line(capsys, tmp_path, case):
+    doc = run_config(tmp_path)
+    if case == "model-file-is-directory":
+        doc["model"] = {"file": str(tmp_path)}
+    elif case == "model-file-root-number":
+        (tmp_path / "model.json").write_text("5")
+        doc["model"] = {"file": str(tmp_path / "model.json")}
+    elif case == "model-file-nul-byte":
+        doc["model"] = {"file": "a\u0000b"}
+    config = write_config(tmp_path, doc)
+    if case == "config-is-directory":
+        config = str(tmp_path)
+    elif case == "config-nul-byte":
+        config = "a\u0000b"
+    out = tmp_path / "out"
+    if case == "out-below-file":
+        out.write_text("")
+        out = out / "sub"
+    code = bc.main(["reference", "--config", config, "--out", str(out)])
+    assert code == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "c.json"],
+                                  ["run", "--config", "c.json", "--out", "o", "--seed", "abc"],
+                                  ["plot", "--config", "c.json", "--out", "o"]],
+                         ids=["missing-out", "seed-not-int", "unknown-command"])
+def test_usage_errors_are_one_line(capsys, argv):
+    assert bc.main(argv) == 1
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("reference", ("tolerance",), -1),
+    ("reference", ("optimizer", "algorithm"), "bogus"),
+    ("compare", ("optimizer", "algorithm"), "bogus"),
+], ids=["tolerance-negative", "reference-algorithm", "compare-algorithm"])
+def test_out_of_range_values_rejected_at_parse(capsys, tmp_path, command, path, value):
+    doc = run_config(tmp_path) if command == "reference" else compare_config()
+    set_path(doc, path, value)
+    code = bc.main([command, "--config", write_config(tmp_path, doc),
+                    "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert_one_error_line(err)
+    assert ".".join(path) in err
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")],
+                         ids=["ValueError", "KeyError"])
+def test_internal_errors_exit_3(capsys, tmp_path, monkeypatch, error):
+    def explode(ctx, tol, max_iterations=100_000):
+        raise error
+
+    monkeypatch.setattr(bc.rb, "reference_portfolio", explode)
+    code = bc.main(["reference", "--config", write_config(tmp_path, run_config(tmp_path)),
+                    "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert_one_error_line(err)
+    assert err.startswith(f"error: internal: {type(error).__name__}: ")
+
+
+def schema_paths(table, prefix=()):
+    for key, (kind, _) in table.items():
+        yield prefix + (key,)
+        if isinstance(kind, dict):
+            yield from schema_paths(kind, prefix + (key,))
+
+
+CONFIG_PATHS = (list(schema_paths(bc._SCHEMA))
+                + [("measure", key) for key in ["kind"] + sorted(
+                    {k for _, keys in bc._MEASURES.values() for k in keys})]
+                + [("model", "inline", key) for key in bench_model_dict()])
+
+# Any value a JSON document can hold, as Python's json module reads it.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=8)
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=".".join)
+@settings(max_examples=40)
+@given(value=JSON_VALUES)
+@example(value="a\u0000b")  # a NUL byte cannot be in a file name
+def test_only_config_errors_escape_the_config_layer(path, value):
+    doc = run_config(None)
+    if path[:2] == ("model", "file"):
+        doc["model"] = {}
+    elif path[:2] == ("model", "synthetic"):
+        doc["model"] = {"synthetic": {"d": 3}}
+    set_path(doc, path, value)
+    try:
+        config = bc.ExperimentConfig.parse(doc)
+        # generate_model allocates d x 2d arrays: keep a synthetic model small
+        assume(config.model_spec.get("synthetic", {}).get("d", 0) <= 40)
+        model = config.build_model(config.seed)
+        config.build_budget(model.d)
+        config.build_optimizer_config(model)
+    except bc.ConfigError:
+        pass
+
+
+def test_readme_schema_lists_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```jsonc", 1)[1].split("```", 1)[0]
+    documented = set(re.findall(r'"(\w+)"\s*:', block))
+    keys = {path[-1] for path in schema_paths(bc._SCHEMA)}
+    keys |= {"kind"} | {k for _, table in bc._MEASURES.values() for k in table}
+    assert documented == keys | set(bench_model_dict())
 
 
 def test_unread_keys_rejected():
@@ -434,3 +570,15 @@ def test_cmd_figure_data_empty_trace(tmp_path):
     (src / "trace.csv").write_text("iter,gamma,gap,xi,y_1\n")
     fig_cfg = write_config(tmp_path, {"input": str(src)})
     assert bc.main(["figure-data", "--config", fig_cfg, "--out", str(tmp_path / "f")]) == 1
+
+
+@pytest.mark.parametrize("text", ["iter,gamma,gap,xi,y_1\n1,1.0,0.5,0.0,abc\n",
+                                  "iter,gamma,gap,xi,y_1\n1,1.0\n"],
+                         ids=["bad-number", "short-row"])
+def test_cmd_figure_data_bad_trace_row(capsys, tmp_path, text):
+    src = tmp_path / "bad"
+    src.mkdir()
+    (src / "trace.csv").write_text(text)
+    fig_cfg = write_config(tmp_path, {"input": str(src)})
+    assert bc.main(["figure-data", "--config", fig_cfg, "--out", str(tmp_path / "f")]) == 1
+    assert_one_error_line(capsys.readouterr().err)
