@@ -42,6 +42,10 @@ CLASSICAL_GAMMA0 = {10: 5.0, 25: 1.0, 50: 0.5, 100: 0.25, 250: 0.1}
 
 _SAMPLE_SEED_SALT = 0xA5A5A5A5A5A5A5A5
 
+# Largest synthetic model size, 4x the largest size in the tables above:
+# generate_model's d x 2d Gram products grow as d^3 and fail far beyond it.
+MAX_D = 1000
+
 OPTIMIZER_NAMES = ("dmd", "smd", "sgd-tamed", "sgd-classical")
 
 
@@ -217,6 +221,7 @@ class ExperimentConfig:
         if "model" in cfg and len(cfg["model"]) != 1:
             raise ConfigError("'model' needs exactly one of file | inline | synthetic")
         budget = cfg["budget"]
+        synthetic_d = cfg.get("model", {}).get("synthetic", {}).get("d", 2)
         for key, ok, rule in (
                 ("budget", budget == "uniform"
                  or budget and all(0.0 < b < math.inf for b in budget),
@@ -224,7 +229,9 @@ class ExperimentConfig:
                 ("optimizers", cfg["optimizers"], "a nonempty list"),
                 ("samples", cfg["samples"] >= 1, ">= 1"),
                 ("replications", cfg["replications"] >= 1, ">= 1"),
-                ("dimensions", all(d >= 2 for d in cfg["dimensions"]), "a list of sizes >= 2"),
+                ("model.synthetic.d", 2 <= synthetic_d <= MAX_D, f"a size from 2 to {MAX_D}"),
+                ("dimensions", all(2 <= d <= MAX_D for d in cfg["dimensions"]),
+                 f"a list of sizes from 2 to {MAX_D}"),
                 ("tolerance", cfg["tolerance"] > 0.0, "positive"),
                 ("epsilons", all(e > 0.0 for e in cfg["epsilons"]), "a list of positive numbers")):
             if not ok:

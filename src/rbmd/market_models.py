@@ -187,6 +187,8 @@ class LossLawParams:
     def __post_init__(self):
         if not (0.0 < self.weight <= 1.0):
             raise ModelError(f"weight must lie in (0, 1], got {self.weight}")
+        if not all(map(math.isfinite, (self.loc1, self.loc2, self.scale1, self.scale2))):
+            raise ModelError("component locations and scales must be finite")
         if not (self.scale1 > 0.0 and self.scale2 > 0.0):
             raise ModelError("component scales must be positive")
 
@@ -349,62 +351,34 @@ def mixture_cdf(params: LossLawParams, x) -> float:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _component_quantile(alpha: float, gaussian: bool, nu: float, loc, scale) -> float:
-    base = ndtri(alpha) if gaussian else stdtrit(nu, alpha)
-    return float(loc + scale * base)
-
-
 def _quantile(p: LossLawParams, alpha: float) -> float:
-    """Alpha-quantile of the loss law by safeguarded Newton.
+    """Alpha-quantile of the loss law by bracketed Newton.
 
-    The mixture quantile is bracketed by the two component quantiles; a
-    geometric expansion from the mixture mean backs that up, then bisection
-    plus Newton polishing drive |cdf(q) - alpha| to the 1e-12 contract."""
-
-    def cdf(x):
-        return float(_mixture_eval(x, p))
-
-    q1 = _component_quantile(alpha, p.gaussian1, p.nu1, p.loc1, p.scale1)
-    if p.weight >= 1.0:
-        lo = q1 - abs(q1) * 1e-8 - 1e-12
-        hi = q1 + abs(q1) * 1e-8 + 1e-12
-    else:
-        q2 = _component_quantile(alpha, p.gaussian2, p.nu2, p.loc2, p.scale2)
-        lo, hi = min(q1, q2), max(q1, q2)
-    # Safety net in case the closed-form bracket is off by rounding.
-    mean = p.weight * p.loc1 + (1.0 - p.weight) * p.loc2
-    s = 10.0 * max(p.scale1, p.scale2)
-    for _ in range(200):
-        bad_lo = cdf(lo) > alpha
-        bad_hi = cdf(hi) < alpha
-        if not (bad_lo or bad_hi):
-            break
-        if bad_lo:
-            lo = min(lo, mean) - s
-        if bad_hi:
-            hi = max(hi, mean) + s
-        s = s * 2.0
-    else:
-        raise NumericsError("quantile bracket expansion failed after 200 doublings")
-    for _ in range(10):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) >= alpha:
-            hi = mid
-        else:
-            lo = mid
-    q = 0.5 * (lo + hi)
-    for _ in range(4):
-        f = cdf(q) - alpha
-        if f >= 0.0:
+    The mixture CDF is a weighted mean of the component CDFs, so its
+    alpha-quantile lies between the component quantiles; padded by a relative
+    margin for stdtrit / ndtri rounding, they bracket it.  Newton starts from
+    their weight average, a step that would leave the bracket is replaced by
+    bisection, and the loop stops at |cdf(q) - alpha| <= 1e-12, which a NaN
+    never satisfies."""
+    comps = [(w, loc + scale * float(ndtri(alpha) if gauss else stdtrit(nu, alpha)), scale)
+             for w, loc, scale, gauss, nu in p.components()]
+    lo = min(qc for _, qc, _ in comps)
+    hi = max(qc for _, qc, _ in comps)
+    pad = 1e-8 * (max(abs(lo), abs(hi)) + max(scale for _, _, scale in comps))
+    lo, hi = lo - pad, hi + pad
+    q = sum(w * qc for w, qc, _ in comps)
+    for _ in range(100):
+        f = float(_mixture_eval(q, p)) - alpha
+        if abs(f) <= 1e-12:
+            return q
+        if f > 0.0:
             hi = q
         else:
             lo = q
-        step = f / max(float(_mixture_eval(q, p, density=True)), _DENS_FLOOR)
-        q = min(max(q - step, lo), hi)
-    err = abs(cdf(q) - alpha)
-    if err > 1e-12:
-        raise NumericsError(f"quantile refinement stalled at cdf error {err:.3e}")
-    return q
+        step = q - f / max(float(_mixture_eval(q, p, density=True)), _DENS_FLOOR)
+        q = step if lo < step < hi else 0.5 * (lo + hi)
+    raise NumericsError(f"quantile Newton missed |cdf - alpha| <= 1e-12 at alpha = {alpha} "
+                        "after 100 steps")
 
 
 def var_exact(params: LossLawParams, alpha: float) -> float:

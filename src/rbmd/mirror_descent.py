@@ -293,6 +293,7 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
                       diverged, done, grad_norm)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run overflows; it is flagged
 def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     """Shared loop of SMD (``rule`` "smd") and the SGD baselines ("tamed",
     "classical").

@@ -12,7 +12,6 @@ continuously to the boundary of the nonnegative orthant.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -69,54 +68,22 @@ class RiskBudget:
 class ObjectiveContext:
     """Binds budgets, measure and market model to one evaluable objective.
 
-    ``g_mode`` selects the outer function: "identity" leaves the risk as is,
-    "power" raises it to the measure's exponent p.  Expected shortfall always
-    uses the identity; deviation measures default to the power mode that
-    matches their loss representation but may be evaluated with the identity
-    as well (the normalized minimizer is the same either way).
+    The outer function g is fixed by the measure's loss representation
+    g(r(y)) = min_xi E[L(xi, -<y, X>)]: the identity for expected shortfall
+    and x**p for the deviation measures.
     """
 
     budget: RiskBudget
     measure: rl.MeasureSpec
     model: mm.MixtureModel
-    g_mode: str = ""
 
     def __post_init__(self):
         if self.budget.d != self.model.d:
             raise ValueError("budget and model dimensions differ")
-        if not self.g_mode:
-            self.g_mode = "identity" if self.measure.is_es else "power"
-        if self.g_mode not in ("identity", "power"):
-            raise ValueError(f"unknown g_mode {self.g_mode!r}")
-        if self.measure.is_es and self.g_mode != "identity":
-            raise ValueError("expected shortfall requires the identity outer function")
 
     @property
     def d(self) -> int:
         return self.model.d
-
-    @cached_property
-    def _mode(self) -> str:
-        m = self.measure
-        if m.is_es:
-            return "es"
-        if m.p_power == 2 and m.a_plus == m.b_minus:
-            return "vol"
-        if self.model.weight >= 1.0 and not np.any(self.model.mu1):
-            return "dev_unit"
-        return "dev_general"
-
-    @cached_property
-    def _sigma(self) -> np.ndarray:
-        return mm.covariance(self.model)
-
-    @cached_property
-    def _unit_loss_min(self) -> float:
-        """min_xi E[(a (T - xi)_+ + b (T - xi)_-)^p] for the standardized
-        single-component law; the loss of y then scales as |y|_Lambda^p."""
-        unit = mm.LossLawParams(1.0, 0.0, 0.0, 1.0, 1.0, self.model.nu1,
-                                self.model.nu1, self.model.gaussian1, self.model.gaussian1)
-        return self._loss_min(unit)[1]
 
     def _loss_min(self, params: mm.LossLawParams):
         """(xi*, min_xi E[L(xi, Z)]) from the first-order condition in xi:
@@ -130,29 +97,17 @@ class ObjectiveContext:
 
     # -- outer objective g(r(y)) ------------------------------------------
 
-    def _power_outer(self, y: np.ndarray) -> float:
-        """min_xi E[L(xi, -<y, X>)], i.e. g(r(y)) with the power outer mode."""
-        m = self.measure
-        mode = self._mode
-        if mode == "vol":
-            return m.a_plus ** 2 * float(y @ self._sigma @ y)
-        if mode == "dev_unit":
-            s2 = float(y @ self.model.lambda1 @ y)
-            return self._unit_loss_min * s2 ** (m.p_power / 2.0)
-        return self._loss_min(mm.portfolio_loss_params(self.model, y))[1]
+    def outer_value(self, y: np.ndarray) -> float:
+        """g(r(y)): expected shortfall itself, or min_xi E[L(xi, -<y, X>)] = r(y)**p
+        for a deviation measure."""
+        params = mm.portfolio_loss_params(self.model, y)
+        if self.measure.is_es:
+            return mm.es_exact(params, self.measure.alpha)
+        return self._loss_min(params)[1]
 
     def risk_value(self, y: np.ndarray) -> float:
         """r(y) = rho(-<y, X>)."""
-        if self._mode == "es":
-            params = mm.portfolio_loss_params(self.model, y)
-            return mm.es_exact(params, self.measure.alpha)
-        return rl.rho_from_expected_loss(self.measure, self._power_outer(y))
-
-    def outer_value(self, y: np.ndarray) -> float:
-        """g(r(y)) under the context's g_mode."""
-        if self.g_mode == "power":
-            return self._power_outer(y)
-        return self.risk_value(y)
+        return rl.rho_from_expected_loss(self.measure, self.outer_value(y))
 
     # -- gradients ----------------------------------------------------------
 
@@ -196,20 +151,10 @@ class ObjectiveContext:
                 c * (m.a_plus ** p * up1 + m.b_minus ** p * down1))
 
     def _value_and_gradient(self, y: np.ndarray):
-        """(v, grad v) in closed form, with v = r for expected shortfall and
-        v = g(r) under the power outer function for the deviation measures."""
+        """(g(r(y)), grad g(r(y))) in closed form."""
         m = self.measure
-        mode = self._mode
-        if mode == "vol":
-            sig_y = self._sigma @ y
-            return m.a_plus ** 2 * float(y @ sig_y), m.a_plus ** 2 * 2.0 * sig_y
-        if mode == "dev_unit":
-            lam_y = self.model.lambda1 @ y
-            s2 = float(y @ lam_y)
-            value = self._unit_loss_min * s2 ** (m.p_power / 2.0)
-            return value, (m.p_power * value / s2) * lam_y
         params = mm.portfolio_loss_params(self.model, y)
-        if mode == "es":
+        if m.is_es:
             # grad ES(y) = E[-X | Z >= VaR] (Tasche 1999); by Euler's theorem
             # the value is <y, grad ES(y)>.
             var = mm.var_exact(params, m.alpha)
@@ -221,24 +166,19 @@ class ObjectiveContext:
         xi, value = self._loss_min(params)
         return value, self._euler_sum(y, params, xi, self._deviation_moments)
 
-    def _risk_gradient_from(self, value: float, grad: np.ndarray) -> np.ndarray:
-        """grad r from (v, grad v) by the chain rule through g: r = v for
-        expected shortfall, v = r^p for the deviation measures."""
+    def outer_gradient(self, y: np.ndarray) -> np.ndarray:
+        """Gradient of g(r(.)), in closed form for every measure."""
+        return self._value_and_gradient(y)[1]
+
+    def risk_gradient(self, y: np.ndarray) -> np.ndarray:
+        """Gradient of r(.) itself (no outer function, no log term), by the
+        chain rule through g: r = g(r) for expected shortfall, g(r) = r^p for
+        the deviation measures."""
+        value, grad = self._value_and_gradient(y)
         if self.measure.is_es:
             return grad
         p = self.measure.p_power
         return grad / (p * rl.rho_from_expected_loss(self.measure, value) ** (p - 1))
-
-    def outer_gradient(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of g(r(.)), in closed form for every measure mode."""
-        value, grad = self._value_and_gradient(y)
-        if self.g_mode == "power":
-            return grad
-        return self._risk_gradient_from(value, grad)
-
-    def risk_gradient(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of r(.) itself (no outer function, no log term)."""
-        return self._risk_gradient_from(*self._value_and_gradient(y))
 
 
 def _require_interior(y: np.ndarray) -> np.ndarray:

@@ -173,7 +173,10 @@ def test_usage_errors_are_one_line(capsys, argv):
     ("reference", ("tolerance",), -1),
     ("reference", ("optimizer", "algorithm"), "bogus"),
     ("compare", ("optimizer", "algorithm"), "bogus"),
-], ids=["tolerance-negative", "reference-algorithm", "compare-algorithm"])
+    ("compare", ("model", "synthetic", "d"), 1001),
+    ("compare", ("dimensions",), [10, 1001]),
+], ids=["tolerance-negative", "reference-algorithm", "compare-algorithm", "synthetic-d-too-large",
+        "dimensions-too-large"])
 def test_out_of_range_values_rejected_at_parse(capsys, tmp_path, command, path, value):
     doc = run_config(tmp_path) if command == "reference" else compare_config()
     set_path(doc, path, value)
@@ -469,10 +472,26 @@ def test_cmd_compare_deterministic_and_threaded(tmp_path):
     out1, out2, out3 = tmp_path / "c1", tmp_path / "c2", tmp_path / "c3"
     assert bc.main(["compare", "--config", cfg_path, "--out", str(out1)]) == 0
     assert bc.main(["compare", "--config", cfg_path, "--out", str(out2)]) == 0
-    assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
     assert bc.main(["compare", "--config", cfg_path, "--out", str(out3),
                     "--threads", "2"]) == 0
-    assert (out1 / "aggregate.csv").read_bytes() == (out3 / "aggregate.csv").read_bytes()
+    for name in ("aggregate.csv", "replications.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cmd_compare_overflowed_sgd_reads_blown_up(tmp_path):
+    # gamma0 = 1e300 overflows the classical SGD iterate; its loss law then has
+    # an infinite scale, and the gap must read inf ("blew up"), not nan
+    doc = {"measure": {"kind": "es", "alpha": 0.95}, "optimizers": ["sgd-classical"],
+           "optimizer": {"classical_gamma0": 1e300}, "samples": 20_000, "replications": 3,
+           "dimensions": [10], "seed": 2024}
+    out = tmp_path / "overflow"
+    assert bc.main(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    with open(out / "replications.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(float(row["gap_final"]) == math.inf for row in rows)
 
 
 def test_cmd_compare_single_replication_degenerate(tmp_path):

@@ -155,13 +155,41 @@ def test_var_standard_t_quantile():
     assert mm.var_exact(p, 0.95) == pytest.approx(2.1318, abs=1e-3)
 
 
+def wide_loss_params(rng) -> mm.LossLawParams:
+    """Loss law with scales from 1e-4 to 10, nu from 1.05 to 30, Gaussian
+    components and single-component laws."""
+    scale1, scale2 = np.exp(rng.uniform(math.log(1e-4), math.log(10.0), 2))
+    nu1, nu2 = np.exp(rng.uniform(math.log(1.05), math.log(30.0), 2))
+    loc1, loc2 = rng.normal(0.0, 1.0, 2) * rng.choice([scale1, scale2], 2)
+    gauss1, gauss2 = rng.random(2) < 0.2
+    weight = 1.0 if rng.random() < 0.2 else float(rng.uniform(0.01, 0.99))
+    return mm.LossLawParams(weight, float(loc1), float(loc2), float(scale1), float(scale2),
+                            float(nu1), float(nu2), bool(gauss1), bool(gauss2))
+
+
 def test_var_cdf_roundtrip_property():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        p = random_loss_params(rng)
-        alpha = float(rng.uniform(0.01, 0.99))
+    cases = [(random_loss_params(rng), float(rng.uniform(0.01, 0.99))) for _ in range(200)]
+    cases += [(wide_loss_params(rng), float(np.exp(rng.uniform(math.log(1e-7), math.log(0.5)))))
+              for _ in range(300)]
+    cases = [(p, alpha) for p, a in cases for alpha in (a, 1.0 - a)]
+    # component scales 8,000x apart: a wide bracket, closed by Newton and bisection together
+    cases.append((mm.LossLawParams(0.4320172261688698, -0.005927745277141489,
+                                   -0.0015783670219035235, 1.5394199447701937,
+                                   0.00019026540292858235, 12.212751096810168,
+                                   17.276372043447456), 0.75))
+    for p, alpha in cases:
         q = mm.var_exact(p, alpha)
-        assert abs(mm.mixture_cdf(p, q) - alpha) <= 1e-10
+        assert abs(mm.mixture_cdf(p, q) - alpha) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["loc1", "loc2", "scale1", "scale2"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_loss_law_rejects_non_finite_parameters(field, value):
+    fields = {"weight": 0.6, "loc1": 0.0, "loc2": 0.1, "scale1": 1.0, "scale2": 2.0,
+              "nu1": 4.0, "nu2": 6.0, field: value}
+    with pytest.raises(mm.ModelError):
+        mm.LossLawParams(**fields)
 
 
 @settings(max_examples=50)

@@ -309,6 +309,7 @@ def test_sgd_tamed_scales_by_kappa():
     np.testing.assert_allclose(res.y_final, expected)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow stays silent
 def test_sgd_divergence_flagged():
     model = mm.MixtureModel.single_gaussian(np.zeros(2), np.diag([0.01, 0.01]))
     ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(2),

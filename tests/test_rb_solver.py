@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,13 +13,6 @@ from rbmd import risk_loss as rl
 
 from conftest import (BENCH_CONTRIBUTION, BENCH_ES, BENCH_LAMBDA1, BENCH_VAR,
                       BENCH_WEIGHTS, make_bench_model, random_mixture_model)
-
-
-@pytest.fixture(scope="module")
-def vol_identity_ctx():
-    model = mm.MixtureModel.single_gaussian(np.zeros(3), np.eye(3))
-    return rb.ObjectiveContext(rb.RiskBudget.uniform(3), rl.MeasureSpec.volatility(),
-                               model, g_mode="identity")
 
 
 @pytest.fixture(scope="module")
@@ -44,24 +38,9 @@ def test_budget_rejects_nonpositive():
         rb.RiskBudget(np.array([0.5, -0.1, 0.6]))
 
 
-def test_ctx_g_mode_rules(bench_model):
-    budget = rb.RiskBudget.uniform(3)
-    es = rl.MeasureSpec.expected_shortfall(0.95)
-    assert rb.ObjectiveContext(budget, es, bench_model).g_mode == "identity"
-    dev = rl.MeasureSpec.volatility()
-    assert rb.ObjectiveContext(budget, dev, bench_model).g_mode == "power"
-    with pytest.raises(ValueError):
-        rb.ObjectiveContext(budget, es, bench_model, g_mode="power")
-
-
 # ---------------------------------------------------------------------------
 # gamma_value
 # ---------------------------------------------------------------------------
-
-def test_gamma_value_identity_volatility(vol_identity_ctx):
-    # logs vanish at 1, so the value is the plain portfolio risk
-    assert rb.gamma_value(vol_identity_ctx, np.ones(3)) == pytest.approx(math.sqrt(3.0))
-
 
 def test_gamma_value_power_volatility(vol_power_ctx):
     assert rb.gamma_value(vol_power_ctx, np.ones(3)) == pytest.approx(3.0)
@@ -109,17 +88,28 @@ def test_gamma_gradient_volatility_closed_form(vol_power_ctx):
     np.testing.assert_allclose(grad, (2.0 - 1.0 / 3.0) * np.ones(3), rtol=1e-12)
 
 
-def assert_gradient_matches_value_differences(ctx, rng, trials):
-    """gamma_gradient against central differences of gamma_value."""
+def assert_gradient_matches_value_differences(ctx, rng, trials, outer="power"):
+    """gamma_gradient against central differences of gamma_value; with
+    ``outer`` "identity", the same for r(y) - sum_i b_i log y_i, the objective
+    with r in place of g(r), built from risk_value and risk_gradient."""
+    b = ctx.budget.b
+    if outer == "power":
+        value, gradient = partial(rb.gamma_value, ctx), partial(rb.gamma_gradient, ctx)
+    else:
+        def value(y):
+            return ctx.risk_value(y) - float(b @ np.log(y))
+
+        def gradient(y):
+            return ctx.risk_gradient(y) - b / y
     for _ in range(trials):
         y = rng.uniform(2.0, 25.0, 3)
-        grad = rb.gamma_gradient(ctx, y)
+        grad = gradient(y)
         h = 1e-5 * np.maximum(1.0, y)
         fd = np.zeros(3)
         for i in range(3):
             e = np.zeros(3)
             e[i] = h[i]
-            fd[i] = (rb.gamma_value(ctx, y + e) - rb.gamma_value(ctx, y - e)) / (2 * h[i])
+            fd[i] = (value(y + e) - value(y - e)) / (2 * h[i])
         assert np.linalg.norm(fd - grad) <= 1e-4 * max(1e-8, np.linalg.norm(grad))
 
 
@@ -127,50 +117,62 @@ def test_gamma_gradient_matches_value_differences(es_ctx):
     assert_gradient_matches_value_differences(es_ctx, np.random.default_rng(2), 5)
 
 
-# Objective contexts for every measure mode; the identity outer function is
-# allowed everywhere, the power one for the deviation measures only.
+# (measure, model) inputs that cover both branches of the objective: ES, and
+# the deviation measures at p = 1 and p = 2, on the README mixture and on a
+# centred single t.  ``outer`` names the function of r under test: "identity"
+# checks r itself, "power" checks g(r) = r^p, which is r for ES.
 _UNIT_T = mm.MixtureModel.single_t(np.zeros(3), 9.0 * np.array(BENCH_LAMBDA1), 4.5)
 MODE_CASES = {
-    "es": ("es", rl.MeasureSpec.expected_shortfall(0.95), make_bench_model()),
-    "vol": ("vol", rl.MeasureSpec.volatility(), make_bench_model()),
-    "dev_unit": ("dev_unit", rl.MeasureSpec.variantile(0.75), _UNIT_T),
-    "dev_general_p1": ("dev_general", rl.MeasureSpec.mad(), make_bench_model()),
-    "dev_general_p2": ("dev_general", rl.MeasureSpec.variantile(0.75), make_bench_model()),
+    "es": (rl.MeasureSpec.expected_shortfall(0.95), make_bench_model()),
+    "vol": (rl.MeasureSpec.volatility(), make_bench_model()),
+    "dev_unit": (rl.MeasureSpec.variantile(0.75), _UNIT_T),
+    "dev_general_p1": (rl.MeasureSpec.mad(), make_bench_model()),
+    "dev_general_p2": (rl.MeasureSpec.variantile(0.75), make_bench_model()),
 }
-MODE_CONTEXTS = {
-    (case, g_mode): rb.ObjectiveContext(rb.RiskBudget.uniform(3), spec, model, g_mode=g_mode)
-    for case, (_, spec, model) in MODE_CASES.items()
-    for g_mode in ("identity", "power")
-    if g_mode == "identity" or not spec.is_es
-}
+MODE_CONTEXTS = {case: rb.ObjectiveContext(rb.RiskBudget.uniform(3), spec, model)
+                 for case, (spec, model) in MODE_CASES.items()}
+OUTER_CASES = sorted((case, outer) for case, (spec, _) in MODE_CASES.items()
+                     for outer in ("identity", "power") if outer == "identity" or not spec.is_es)
 
 
-@pytest.mark.parametrize("case, g_mode", [
-    ("dev_general_p2", "power"),
-    ("dev_general_p2", "identity"),
-    ("dev_general_p1", "identity"),
-    ("dev_unit", "identity"),
-    ("vol", "identity"),
-])
-def test_gamma_gradient_matches_value_differences_per_mode(case, g_mode):
-    ctx = MODE_CONTEXTS[case, g_mode]
-    assert ctx._mode == MODE_CASES[case][0]
-    assert_gradient_matches_value_differences(ctx, np.random.default_rng(7), 3)
+@pytest.mark.parametrize("case, outer", [c for c in OUTER_CASES if c != ("es", "identity")])
+def test_gamma_gradient_matches_value_differences_per_mode(case, outer):
+    # ES is test_gamma_gradient_matches_value_differences
+    assert_gradient_matches_value_differences(MODE_CONTEXTS[case], np.random.default_rng(7), 3,
+                                              outer)
 
 
-@pytest.mark.parametrize("case, g_mode", sorted(MODE_CONTEXTS))
+@pytest.mark.parametrize("case, outer", OUTER_CASES)
 @settings(max_examples=25)
 @given(weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
-def test_euler_identity(case, g_mode, weights):
-    # sum_i u_i d_i r(u) = r(u) for the positively homogeneous r, and
-    # g(r) = r^p is p-homogeneous under the power outer function
-    ctx = MODE_CONTEXTS[case, g_mode]
-    assert ctx._mode == MODE_CASES[case][0]
+def test_euler_identity(case, outer, weights):
+    # sum_i u_i d_i f(u) = k f(u) for a k-homogeneous f: k = 1 for r and
+    # k = p for g(r) = r^p
+    ctx = MODE_CONTEXTS[case]
     u = np.array(weights) / sum(weights)
-    assert float(u @ ctx.risk_gradient(u)) == pytest.approx(ctx.risk_value(u), rel=1e-7)
-    degree = ctx.measure.p_power if g_mode == "power" else 1
-    assert (float(u @ ctx.outer_gradient(u))
-            == pytest.approx(degree * ctx.outer_value(u), rel=1e-7))
+    if outer == "identity":
+        degree, value, grad = 1, ctx.risk_value(u), ctx.risk_gradient(u)
+    else:
+        degree, value, grad = ctx.measure.p_power, ctx.outer_value(u), ctx.outer_gradient(u)
+    assert float(u @ grad) == pytest.approx(degree * value, rel=1e-7)
+
+
+@pytest.mark.parametrize("model", [
+    mm.MixtureModel.single_gaussian(np.array([1e-4, -2e-4, 3e-4]), np.array(BENCH_LAMBDA1)),
+    _UNIT_T,
+    make_bench_model(),
+], ids=["gaussian", "single-t", "mixture"])
+def test_volatility_objective_is_the_covariance_form(model):
+    # g(r(y)) = a^2 y' Sigma y with gradient 2 a^2 Sigma y for volatility, the
+    # (a, a, 2) deviation measure, with Sigma the exact covariance of X
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(3), rl.MeasureSpec.volatility(), model)
+    sigma = mm.covariance(model)
+    a2 = ctx.measure.a_plus ** 2
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        y = rng.uniform(0.2, 5.0, 3)
+        assert ctx.outer_value(y) == pytest.approx(a2 * float(y @ sigma @ y), rel=1e-12)
+        np.testing.assert_allclose(ctx.outer_gradient(y), 2.0 * a2 * (sigma @ y), rtol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -188,7 +190,7 @@ def test_inner_minimum_matches_scalar_minimizer(spec):
     models = [make_bench_model()] + [random_mixture_model(rng, d) for d in (3, 3, 10)]
     for model in models:
         y = rng.uniform(0.2, 2.0, model.d)
-        ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(model.d), spec, model, g_mode="power")
+        ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(model.d), spec, model)
         params = mm.portfolio_loss_params(model, y)
         lo, hi = mm.var_exact(params, 1e-7), mm.var_exact(params, 1.0 - 1e-7)
         oracle = minimize_scalar(
@@ -199,13 +201,13 @@ def test_inner_minimum_matches_scalar_minimizer(spec):
         assert ctx.outer_value(y) == pytest.approx(oracle.fun, rel=1e-10)
 
 
-@pytest.mark.parametrize("case", sorted({case for case, _ in MODE_CONTEXTS}))
+@pytest.mark.parametrize("case", sorted(MODE_CONTEXTS))
 @settings(max_examples=25)
 @given(w1=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
        w2=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
        lam=st.floats(0.01, 100.0))
 def test_risk_is_positively_homogeneous_and_subadditive(case, w1, w2, lam):
-    ctx = MODE_CONTEXTS[case, "identity"]
+    ctx = MODE_CONTEXTS[case]
     y1, y2 = np.array(w1), np.array(w2)
     r1, r2 = ctx.risk_value(y1), ctx.risk_value(y2)
     assert ctx.risk_value(lam * y1) == pytest.approx(lam * r1, rel=1e-10)
