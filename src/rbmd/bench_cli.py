@@ -277,8 +277,7 @@ class ExperimentConfig:
             opt["schedule"], m_cap=m_cap, y0=y0,
             iterations=opt["iterations"] if "iterations" in opt else self.samples,
             epochs=opt["epochs"], xi0=opt["xi0"], record_every=opt["record_every"],
-            tail_fraction=opt["tail_fraction"], grad_tol=opt.get("grad_tol"),
-            record_weights=True)
+            tail_fraction=opt["tail_fraction"], grad_tol=opt.get("grad_tol"))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -324,6 +323,8 @@ def _jsonable(value):
     """Replace non-finite floats with null so summaries stay strict JSON."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -339,9 +340,9 @@ def write_trace_csv(path: Path, result: md.RunResult, schedule: md.StepSchedule)
     for k, y in result.y_trace:
         if header is None:
             header = ["iter", "gamma", "gap", "xi"] + [f"y_{i + 1}" for i in range(y.size)]
-        xi = xis.get(k, math.nan)
-        rows.append([k, _fmt(md.step_size(schedule, k)), _fmt(gaps.get(k, math.nan)),
-                     _fmt(xi)] + [_fmt(v) for v in y])
+        gamma = md.step_size(schedule, k) if k else math.nan  # a DMD run that took no step
+        rows.append([k, _fmt(gamma), _fmt(gaps.get(k, math.nan)),
+                     _fmt(xis.get(k, math.nan))] + [_fmt(v) for v in y])
     if header is None:
         header = ["iter", "gamma", "gap", "xi"]
     _write_csv(path, header, rows)
@@ -390,16 +391,18 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     result = _execute_run(algorithm, ctx, samples, cfg, gamma_star)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out_dir / "trace.csv", result, cfg.schedule)
-    u_final = rb.normalize(result.y_final) if not result.diverged else None
+    # a diverged run's iterates overflowed: it reports no weights
+    u_final, u_avg, u_tail = (None,) * 3 if result.diverged else (
+        rb.normalize(y) for y in (result.y_final, result.y_weighted_avg, result.y_tail_avg))
     summary = {
         "algorithm": algorithm,
         "diverged": result.diverged,
         "iterations": result.iterations,
-        "weights_final": None if u_final is None else u_final.tolist(),
-        "weights_weighted_avg": rb.normalize(result.y_weighted_avg).tolist(),
-        "weights_tail_avg": rb.normalize(result.y_tail_avg).tolist(),
+        "weights_final": u_final,
+        "weights_weighted_avg": u_avg,
+        "weights_tail_avg": u_tail,
         "min_underbar_y": result.min_underbar_y,
-        "gap_final": result.gap_trace[-1][1] if result.gap_trace else None,
+        "gap_final": result.gap_trace[-1][1],
         "n_projections": result.n_projections,
         "gamma_sum": result.gamma_sum,
     }
@@ -407,8 +410,8 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
         summary["var_estimate"] = result.xi_final / float(result.y_final.sum())
     if reference is not None and u_final is not None:
         summary["mde_final"] = rb.mde(u_final, reference.u)
-        summary["mde_tail_avg"] = rb.mde(rb.normalize(result.y_tail_avg), reference.u)
-        summary["reference_weights"] = reference.u.tolist()
+        summary["mde_tail_avg"] = rb.mde(u_tail, reference.u)
+        summary["reference_weights"] = reference.u
     (out_dir / "summary.json").write_text(json.dumps(_jsonable(summary), indent=2) + "\n")
     write_manifest(out_dir, config, seed)
     print(f"run summary written to {out_dir / 'summary.json'}")
@@ -458,7 +461,7 @@ def run_replication(config: ExperimentConfig, d: int, index: int):
                                 record_every=max(1, total // 10))
         result = _execute_run(name, ctx, samples, cfg, gamma_star)
         gaps = _checkpoint_gaps(result.gap_trace, total)
-        final_gap = result.gap_trace[-1][1] if result.gap_trace else math.inf
+        final_gap = result.gap_trace[-1][1]
         try:
             u = rb.normalize(np.abs(result.y_final))
             mde_val = rb.mde(u, reference.u)

@@ -3,7 +3,7 @@ deterministic and stochastic mirror descent, tamed and classical projected
 SGD baselines, step schedules, and iterate averaging."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,10 @@ class OptimizerConfig:
 
     ``iterations`` drives the deterministic runs; stochastic runs derive
     their total count as epochs * len(samples) and replay the sample matrix
-    in a fixed order.
+    in a fixed order.  Every run records its gap, y, weighted average and xi
+    each ``record_every`` steps and at the iterate it returns; the tail
+    average covers the last ``tail_fraction`` of the steps; ``grad_tol``
+    stops DMD once the tamed-gradient sup-norm falls to it.
     """
 
     m_cap: float
@@ -80,7 +83,6 @@ class OptimizerConfig:
     xi0: float = 0.0
     record_every: int = 100
     tail_fraction: float = 0.2
-    record_weights: bool = False
     grad_tol: float | None = None
 
     def __post_init__(self):
@@ -99,7 +101,14 @@ class OptimizerConfig:
 
 @dataclass(eq=False)
 class RunResult:
-    """Final iterates, averages and diagnostics of one optimizer run."""
+    """Final iterates, averages and diagnostics of one run (``_Run.result``).
+
+    The traces hold ``(k, value)`` every ``record_every`` steps and end at the
+    returned iterate, step ``iterations``; a diverged run's ``gap_trace`` ends
+    with ``(iterations, inf)``.  ``gamma_sum`` is the step sum behind
+    ``y_weighted_avg``, ``projection_iters`` the capped steps.  DMD reports
+    NaN xi, the stochastic runs NaN ``grad_norm``.
+    """
 
     y_final: np.ndarray
     xi_final: float
@@ -110,13 +119,13 @@ class RunResult:
     min_underbar_y: float
     diverged: bool
     iterations: int
-    grad_norm: float = math.nan
-    gamma_sum: float = 0.0
-    n_projections: int = 0
-    y_trace: list = field(default_factory=list)
-    avg_trace: list = field(default_factory=list)
-    xi_trace: list = field(default_factory=list)
-    projection_iters: list = field(default_factory=list)
+    grad_norm: float
+    gamma_sum: float
+    n_projections: int
+    y_trace: list
+    avg_trace: list
+    xi_trace: list
+    projection_iters: list
 
 
 def default_y0(model: mm.MixtureModel, m_cap: float) -> np.ndarray:
@@ -180,70 +189,88 @@ def prox_map(y: np.ndarray, v: np.ndarray, m: float) -> np.ndarray:
     return _prox(y, -v, m)[0]
 
 
-class _Recorder:
-    """Shared trace bookkeeping for all runners, and their one result builder."""
+class _Run:
+    """Bookkeeping of one run for every runner, which keeps only its update
+    rule, and the one RunResult builder.  ``step`` books an update: the
+    gamma-weighted sum of the iterates steps start from, the tail sums from
+    step ``tail_start`` on, min y, the capped steps, and every
+    ``record_every`` steps and at step ``total`` a record.  xi is None for DMD."""
 
-    def __init__(self, ctx, cfg: OptimizerConfig, total: int, gamma_star):
+    def __init__(self, ctx, cfg: OptimizerConfig, total: int, gamma_star, y0):
         self.ctx = ctx
-        self.cfg = cfg
+        self.record_every = cfg.record_every
         self.total = total
-        self.gamma_star = gamma_star
+        self.base = 0.0 if gamma_star is None else gamma_star
         self.tail_start = total - max(1, math.ceil(cfg.tail_fraction * total)) + 1
+        self.wacc = np.zeros_like(y0)
+        self.wsum = 0.0
+        self.tail_acc = np.zeros_like(y0)
+        self.tail_n = 0
+        self.xi_tail = 0.0
+        self.min_under = float(y0.min())
         self.gap_trace = []
         self.y_trace = []
         self.avg_trace = []
         self.xi_trace = []
         self.projection_iters = []
-        self.n_projections = 0
 
-    def want(self, k: int) -> bool:
-        return k % self.cfg.record_every == 0 or k == self.total
+    def step(self, k: int, gamma: float, y_old, y, xi, ymin: float, projected: bool):
+        """Book step k, which moved ``y_old`` to ``y`` (least coordinate
+        ``ymin``) with step size gamma."""
+        self.wacc += gamma * y_old
+        self.wsum += gamma
+        if projected:
+            self.projection_iters.append(k)
+        if ymin < self.min_under:
+            self.min_under = ymin
+        if k >= self.tail_start:
+            self.tail_acc += y
+            self.tail_n += 1
+            if xi is not None:
+                self.xi_tail += xi
+        if k % self.record_every == 0 or k == self.total:
+            self.record(k, y, xi)
 
-    def record(self, k: int, y, xi, wacc, wsum):
-        base = 0.0 if self.gamma_star is None else self.gamma_star
+    def record(self, k: int, y, xi):
         try:
-            gap = rb.gamma_value(self.ctx, y) - base
+            gap = rb.gamma_value(self.ctx, y) - self.base
         except ValueError:  # y left the open orthant: the run blew up
             gap = math.inf
         except mm.NumericsError:  # the objective cannot be evaluated here
             gap = math.nan
         self.gap_trace.append((k, gap))
-        if self.cfg.record_weights:
-            self.y_trace.append((k, y.copy()))
-            if wsum > 0.0:
-                self.avg_trace.append((k, wacc / wsum))
-            if xi is not None:
-                self.xi_trace.append((k, xi))
+        self.y_trace.append((k, y.copy()))
+        if self.wsum > 0.0:
+            self.avg_trace.append((k, self.wacc / self.wsum))
+        if xi is not None:
+            self.xi_trace.append((k, xi))
 
-    def projection(self, k: int):
-        self.n_projections += 1
-        if self.cfg.record_weights:
-            self.projection_iters.append(k)
-
-    def result(self, y, xi, wacc, wsum, tail_acc, tail_n, xi_tail, min_under,
-               diverged, iterations, grad_norm=math.nan) -> RunResult:
-        """``wacc``/``wsum`` accumulate gamma_k y and gamma_k; ``tail_acc``,
-        ``xi_tail`` and ``tail_n`` the iterates from step ``tail_start`` on."""
+    def result(self, y, xi, diverged: bool, iterations: int,
+               grad_norm: float = math.nan) -> RunResult:
+        """The trace ends at the returned iterate y: a run that stopped early
+        (DMD on ``grad_tol``) records it at step ``iterations``.  A run whose
+        last record reads +inf (its loss law overflowed) is diverged, and a
+        diverged run's trace ends with one ``(iterations, inf)``."""
+        trace = self.gap_trace
+        if not diverged and (not trace or trace[-1][0] != iterations):
+            self.record(iterations, y, xi)
+        if trace[-1:] == [(iterations, math.inf)]:
+            diverged = True
+        elif diverged:
+            trace.append((iterations, math.inf))
         return RunResult(
-            y_final=y,
-            xi_final=xi,
-            y_weighted_avg=wacc / wsum if wsum > 0.0 else y.copy(),
-            y_tail_avg=tail_acc / tail_n if tail_n > 0 else y.copy(),
-            xi_tail_avg=xi_tail / tail_n if tail_n > 0 else xi,
-            gap_trace=self.gap_trace,
-            min_underbar_y=min_under,
-            diverged=diverged,
-            iterations=iterations,
-            grad_norm=grad_norm,
-            gamma_sum=wsum,
-            n_projections=self.n_projections,
-            y_trace=self.y_trace,
-            avg_trace=self.avg_trace,
-            xi_trace=self.xi_trace,
-            projection_iters=self.projection_iters,
-        )
+            y_final=y, xi_final=math.nan if xi is None else xi,
+            y_weighted_avg=self.wacc / self.wsum if self.wsum > 0.0 else y.copy(),
+            y_tail_avg=self.tail_acc / self.tail_n if self.tail_n > 0 else y.copy(),
+            xi_tail_avg=(math.nan if xi is None
+                         else self.xi_tail / self.tail_n if self.tail_n > 0 else xi),
+            gap_trace=trace, min_underbar_y=self.min_under, diverged=diverged,
+            iterations=iterations, grad_norm=grad_norm, gamma_sum=self.wsum,
+            n_projections=len(self.projection_iters), projection_iters=self.projection_iters,
+            y_trace=self.y_trace, avg_trace=self.avg_trace, xi_trace=self.xi_trace)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging run overflows; it is flagged
 def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
             gamma_star: float | None = None) -> RunResult:
     """Deterministic mirror descent on the semi-analytic objective.
@@ -252,18 +279,11 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
     early once the tamed gradient sup-norm falls below ``cfg.grad_tol``.
     """
     y = cfg.y0.copy()
-    n = cfg.iterations
-    rec = _Recorder(ctx, cfg, n, gamma_star)
-    wacc = np.zeros_like(y)
-    wsum = 0.0
-    tail_acc = np.zeros_like(y)
-    tail_n = 0
-    min_under = float(y.min())
+    run = _Run(ctx, cfg, cfg.iterations, gamma_star, y)
     diverged = False
     grad_norm = math.inf
     done = 0
-    converged = False
-    for k in range(1, n + 1):
+    for k in range(1, cfg.iterations + 1):
         gamma = step_size(cfg.schedule, k)
         tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
         if not np.all(np.isfinite(tg)):
@@ -271,26 +291,15 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
             break
         grad_norm = float(np.abs(tg).max())
         if cfg.grad_tol is not None and grad_norm <= cfg.grad_tol:
-            converged = True
             break
-        wacc += gamma * y
-        wsum += gamma
-        y, projected, ymin = _prox(y, tg * -gamma, cfg.m_cap, gamma * grad_norm)
+        y_new, projected, ymin = _prox(y, tg * -gamma, cfg.m_cap, gamma * grad_norm)
+        run.step(k, gamma, y, y_new, None, ymin, projected)
+        y = y_new
         done = k
-        if projected:
-            rec.projection(k)
-        if ymin < min_under:
-            min_under = ymin
-        if k >= rec.tail_start:
-            tail_acc += y
-            tail_n += 1
-        if rec.want(k):
-            rec.record(k, y, None, wacc, wsum)
-    if not diverged and not converged:
+    else:
         tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
         grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
-    return rec.result(y, math.nan, wacc, wsum, tail_acc, tail_n, math.nan, min_under,
-                      diverged, done, grad_norm)
+    return run.result(y, None, diverged, done, grad_norm)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging run overflows; it is flagged
@@ -310,8 +319,6 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
         raise ValueError("samples must be a nonempty n x d matrix")
     if samples.shape[1] != ctx.d:
         raise ValueError("sample dimension does not match the model")
-    n_rows = samples.shape[0]
-    total = cfg.epochs * n_rows
     grads = rl.make_gradient_fn(ctx.measure)
     b = ctx.budget.b
     m = cfg.m_cap
@@ -320,15 +327,9 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     x_max = max(float(samples.max()), -float(samples.min()))  # bounds every |X_i|
     y = cfg.y0.copy()
     xi = float(cfg.xi0)
-    rec = _Recorder(ctx, cfg, total, gamma_star)
-    tail_start = rec.tail_start
-    wacc = np.zeros_like(y)
-    wsum = 0.0
-    tail_acc = np.zeros_like(y)
-    tail_n = 0
-    xi_tail = 0.0
-    ymin = float(y.min())
-    min_under = ymin
+    run = _Run(ctx, cfg, cfg.epochs * samples.shape[0], gamma_star, y)
+    ymin = run.min_under
+    projected = False
     diverged = False
     constant = cfg.schedule.kind == "constant"
     gamma0 = cfg.schedule.gamma0
@@ -343,14 +344,13 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
                 break
             gamma = gamma0 if constant else gamma0 * float(k) ** -beta
             g_xi, g_z = grads(xi, z)
-            wacc += gamma * y
-            wsum += gamma
             xi = xi - gamma * g_xi
             ng = b / y
             if g_z != 0.0:  # x * 0 would only add signed zeros
                 ng += x * g_z
             step = gamma * min(ymin, 1.0) if tamed else gamma
             ng *= step
+            y_old = y
             if smd:
                 # Since kappa <= y_i and b_i <= 1, |step * ng_i| is at most
                 # gamma + step * |X_i dL/dz|.  That bound needs b/y finite,
@@ -358,8 +358,6 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
                 # inf.
                 bound = step * abs(g_z) * x_max + gamma if ymin >= 1e-300 else math.inf
                 y, projected, ymin = _prox(y, ng, m, bound)
-                if projected:
-                    rec.projection(k)
             else:
                 ng += y
                 y = ng
@@ -367,24 +365,16 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
                 if not ymin > 0.0:
                     y = np.where(y <= 0.0, _SGD_FLOOR, y)
                     ymin = float(y.min())
-            if ymin < min_under:
-                min_under = ymin
-            if k >= tail_start:
-                tail_acc += y
-                tail_n += 1
-                xi_tail += xi
-            if rec.want(k):
-                rec.record(k, y, xi, wacc, wsum)
+            run.step(k, gamma, y_old, y, xi, ymin, projected)
         if diverged:
             break
     # Blowups in the uncapped baselines surface as a non-finite loss z at the
-    # next draw; iterates produced on the very last step are checked here.
-    if not diverged and not (np.all(np.isfinite(y)) and math.isfinite(xi)):
+    # next draw, or as an overflowed loss law at the last record (see
+    # ``_Run.result``); iterates produced on the very last step are checked
+    # here.
+    if not (np.all(np.isfinite(y)) and math.isfinite(xi)):
         diverged = True
-    if diverged:
-        rec.gap_trace.append((k, math.inf))
-    return rec.result(y, xi, wacc, wsum, tail_acc, tail_n, xi_tail, min_under,
-                      diverged, k)
+    return run.result(y, xi, diverged, k)
 
 
 def smd_run(ctx: rb.ObjectiveContext, samples: np.ndarray, cfg: OptimizerConfig,

@@ -43,7 +43,7 @@ def fig_runs(es_ctx, bench_reference):
         ("p75", md.StepSchedule.power(1.0, 0.75), 50_000),
     ):
         cfg = md.OptimizerConfig(m_cap=100.0, schedule=schedule, iterations=iters,
-                                 y0=y0, record_every=100, record_weights=True)
+                                 y0=y0, record_every=100)
         runs[key] = md.dmd_run(es_ctx, cfg, gamma_star=gamma_star)
     return runs
 
@@ -159,8 +159,7 @@ def test_cap_radius_sweep(es_ctx, bench_reference):
     runs = {}
     for m_cap in (10.0, 35.0, 100.0, 1000.0):
         cfg = md.OptimizerConfig(m_cap=m_cap, schedule=md.StepSchedule.constant(1.0),
-                                 iterations=400, y0=y0, record_every=1,
-                                 record_weights=True)
+                                 iterations=400, y0=y0, record_every=1)
         runs[m_cap] = md.dmd_run(es_ctx, cfg)
     errs = {m: mde_of(r.y_final, bench_reference.u) for m, r in runs.items()}
     small_cap_fails = errs[10.0] >= 1e-2

@@ -434,6 +434,63 @@ def test_cmd_run_dmd(tmp_path):
     assert summary["mde_final"] <= 1e-6
 
 
+# grad_tol stops the run off the record_every = 100 grid: at step 431, or
+# before the first step, where the trace row has no step size
+@pytest.mark.parametrize("grad_tol,iterations", [(1e-6, 431), (10.0, 0)])
+def test_cmd_run_dmd_trace_ends_at_the_returned_iterate(tmp_path, grad_tol, iterations):
+    doc = {"model": {"synthetic": {"d": 3, "seed": 7}}, "measure": {"kind": "es", "alpha": 0.95},
+           "optimizer": {"algorithm": "dmd", "schedule": {"kind": "constant", "gamma0": 1.0},
+                         "iterations": 1000, "record_every": 100, "grad_tol": grad_tol},
+           "seed": 7}
+    out = tmp_path / "dmd"
+    assert bc.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert summary["iterations"] == iterations
+    assert int(rows[-1]["iter"]) == iterations
+    assert summary["gap_final"] == float(rows[-1]["gap"])
+    assert (rows[-1]["gamma"] == "nan") == (iterations == 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cmd_run_diverged_dmd(tmp_path):
+    # b / y overflows in the tamed gradient at step 21: the run stops there,
+    # silently, with a diverged summary
+    doc = {"model": {"synthetic": {"d": 10, "seed": 50}},
+           "measure": {"kind": "variantile", "alpha": 0.75},
+           "optimizer": {"algorithm": "dmd", "m_cap": 1e7, "iterations": 40, "record_every": 7,
+                         "schedule": {"kind": "constant", "gamma0": 30.0}},
+           "seed": 7}
+    out = tmp_path / "dmd"
+    assert bc.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diverged"] and summary["iterations"] == 20
+    assert summary["weights_final"] is None and summary["gap_final"] is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cmd_run_overflowed_sgd_is_diverged(tmp_path):
+    # gamma0 = 1e300 leaves finite iterates whose loss law overflows: the last
+    # record's gap is inf, so the run is diverged and reports no weights
+    doc = {"model": {"synthetic": {"d": 10, "seed": 2025}},
+           "measure": {"kind": "es", "alpha": 0.95},
+           "optimizer": {"algorithm": "sgd-classical",
+                         "schedule": {"kind": "power", "gamma0": 1e300, "beta": 0.65}},
+           "samples": 20_000, "seed": 2025}
+    out = tmp_path / "overflow"
+    assert bc.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diverged"]
+    assert summary["iterations"] == 20_000
+    for key in ("weights_final", "weights_weighted_avg", "weights_tail_avg"):
+        assert summary[key] is None
+    assert "mde_final" not in summary and "var_estimate" not in summary
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert int(rows[-1]["iter"]) == 20_000 and float(rows[-1]["gap"]) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # compare command
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_dmd_feasibility_and_determinism(small_es_setup):
     ctx, _ = small_es_setup
     cfg = md.OptimizerConfig(m_cap=40.0, schedule=md.StepSchedule.constant(1.0),
                              iterations=120, y0=md.default_y0(ctx.model, 40.0),
-                             record_every=1, record_weights=True)
+                             record_every=1)
     res1 = md.dmd_run(ctx, cfg)
     res2 = md.dmd_run(ctx, cfg)
     np.testing.assert_array_equal(res1.y_final, res2.y_final)
@@ -220,7 +220,7 @@ def test_dmd_weighted_average_matches_helper(small_es_setup):
     sched = md.StepSchedule.power(1.0, 0.55)
     cfg = md.OptimizerConfig(m_cap=40.0, schedule=sched, iterations=60,
                              y0=md.default_y0(ctx.model, 40.0),
-                             record_every=1, record_weights=True)
+                             record_every=1)
     res = md.dmd_run(ctx, cfg)
     trajectory = [cfg.y0] + [y for _, y in res.y_trace[:-1]]
     np.testing.assert_allclose(md.weighted_average(trajectory, sched),
@@ -237,7 +237,7 @@ def test_smd_determinism_and_feasibility(small_es_setup):
     ctx, samples = small_es_setup
     cfg = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.75),
                              iterations=1, epochs=2, y0=md.default_y0(ctx.model, 100.0),
-                             record_every=500, record_weights=True)
+                             record_every=500)
     res1 = md.smd_run(ctx, samples, cfg)
     res2 = md.smd_run(ctx, samples, cfg)
     np.testing.assert_array_equal(res1.y_final, res2.y_final)
@@ -339,7 +339,7 @@ def test_feasibility_across_random_runs():
         cfg = md.OptimizerConfig(m_cap=m_cap,
                                  schedule=md.StepSchedule.power(float(rng.uniform(0.5, 3.0)), 0.65),
                                  iterations=40, epochs=1, y0=y0,
-                                 record_every=1, record_weights=True)
+                                 record_every=1)
         if trial % 10 == 0:
             res = md.dmd_run(ctx, cfg)
         else:
@@ -402,13 +402,33 @@ def test_prox_map_matches_plain_prox(log_y, v, log_m):
     assert got.sum() <= m * (1 + 1e-12)
 
 
+def _plain_gap(ctx, y):
+    """The gap a run without a reference records: Gamma(y), inf once y left
+    the open orthant, nan where the objective cannot be evaluated."""
+    try:
+        return rb.gamma_value(ctx, y)
+    except ValueError:
+        return math.inf
+    except mm.NumericsError:
+        return math.nan
+
+
+def _end_trace(gaps, k, diverged):
+    """A run whose last record reads inf at its final step k is diverged; a
+    diverged run's gap trace ends with one (k, inf)."""
+    if gaps[-1:] == [(k, math.inf)]:
+        return True
+    if diverged:
+        gaps.append((k, math.inf))
+    return diverged
+
+
 def _reference_stochastic_run(rule, ctx, samples, cfg, floor_eps=1e-4):
     """SMD ("smd") and SGD ("tamed", "classical") one plain step at a time:
     grad_y = -X dL/dz - b/y, kappa from y.min(), then ``_plain_prox`` or the
     np.where reset.  Returns the run and the set of guarded branches met."""
     hits = set()
     total = cfg.epochs * samples.shape[0]
-    rec = md._Recorder(ctx, cfg, total, None)
     tail_start = total - max(1, math.ceil(cfg.tail_fraction * total)) + 1
     b = ctx.budget.b
     y = cfg.y0.copy()
@@ -418,6 +438,7 @@ def _reference_stochastic_run(rule, ctx, samples, cfg, floor_eps=1e-4):
     wsum = gamma_sum = xi_tail = 0.0
     tail_n = 0
     min_under = float(y.min())
+    gaps, ys, avgs, xis, projections = [], [], [], [], []
     diverged = False
     k = 0
     for x in np.vstack([samples] * cfg.epochs):
@@ -453,7 +474,7 @@ def _reference_stochastic_run(rule, ctx, samples, cfg, floor_eps=1e-4):
             y, projected = _plain_prox(y, v, cfg.m_cap)
             if projected:
                 hits.add("cap")
-                rec.projection(k)
+                projections.append(k)
         else:
             out = y - (gamma * kappa if rule == "tamed" else gamma) * grad_y
             if np.any(out <= 0.0):
@@ -464,22 +485,27 @@ def _reference_stochastic_run(rule, ctx, samples, cfg, floor_eps=1e-4):
             tail_acc += y
             tail_n += 1
             xi_tail += xi
-        if rec.want(k):
-            rec.record(k, y, xi, wacc, wsum)
-    if not diverged and not (np.all(np.isfinite(y)) and math.isfinite(xi)):
+        if k % cfg.record_every == 0 or k == total:
+            gaps.append((k, _plain_gap(ctx, y)))
+            ys.append((k, y.copy()))
+            avgs.append((k, wacc / wsum))
+            xis.append((k, xi))
+    if not (np.all(np.isfinite(y)) and math.isfinite(xi)):
         diverged = True
+    if gaps[-1:] == [(k, math.inf)]:
+        hits.add("overflow")
+    diverged = _end_trace(gaps, k, diverged)
     if diverged:
         hits.add("diverged")
-        rec.gap_trace.append((k, math.inf))
     result = md.RunResult(
         y_final=y, xi_final=xi,
         y_weighted_avg=wacc / wsum if wsum > 0.0 else y.copy(),
         y_tail_avg=tail_acc / tail_n if tail_n > 0 else y.copy(),
         xi_tail_avg=xi_tail / tail_n if tail_n > 0 else xi,
-        gap_trace=rec.gap_trace, min_underbar_y=min_under, diverged=diverged,
-        iterations=k, gamma_sum=gamma_sum, n_projections=rec.n_projections,
-        y_trace=rec.y_trace, avg_trace=rec.avg_trace, xi_trace=rec.xi_trace,
-        projection_iters=rec.projection_iters)
+        gap_trace=gaps, min_underbar_y=min_under, diverged=diverged,
+        iterations=k, grad_norm=math.nan, gamma_sum=gamma_sum,
+        n_projections=len(projections), y_trace=ys, avg_trace=avgs, xi_trace=xis,
+        projection_iters=projections)
     return result, hits
 
 
@@ -520,6 +546,8 @@ _ORACLE_GRID = [
     ("classical", "es", 10, ("power", 3.0), 100.0, set()),
     # reset, then divergence stop
     ("classical", "variantile", 3, ("constant", 1e6), 100.0, {"reset", "diverged"}),
+    # finite iterates whose loss law overflows: the last record reads inf
+    ("classical", "es", 10, ("power", 1e300), 100.0, {"reset", "overflow", "diverged"}),
 ]
 
 
@@ -533,8 +561,7 @@ def test_stochastic_runs_match_plain_oracle_bit_for_bit(rule, measure, d, sched,
     schedule = (md.StepSchedule.power(gamma0, 0.65) if kind == "power"
                 else md.StepSchedule.constant(gamma0))
     cfg = md.OptimizerConfig(m_cap=m_cap, schedule=schedule, iterations=1, epochs=2,
-                             y0=md.default_y0(model, m_cap), record_every=7,
-                             record_weights=True)
+                             y0=md.default_y0(model, m_cap), record_every=7)
     with np.errstate(all="ignore"):
         want, hits = _reference_stochastic_run(rule, ctx, samples, cfg)
         if rule == "smd":
@@ -551,7 +578,6 @@ def _reference_dmd_run(ctx, cfg):
     on gamma * tg.  Returns the run and the set of guarded branches met."""
     hits = set()
     n = cfg.iterations
-    rec = md._Recorder(ctx, cfg, n, None)
     tail_start = n - max(1, math.ceil(cfg.tail_fraction * n)) + 1
     y = cfg.y0.copy()
     wacc = np.zeros_like(y)
@@ -559,6 +585,7 @@ def _reference_dmd_run(ctx, cfg):
     wsum = gamma_sum = 0.0
     tail_n = done = 0
     min_under = float(y.min())
+    gaps, ys, avgs, projections = [], [], [], []
     diverged = converged = False
     grad_norm = math.inf
     for k in range(1, n + 1):
@@ -586,24 +613,33 @@ def _reference_dmd_run(ctx, cfg):
         done = k
         if projected:
             hits.add("cap")
-            rec.projection(k)
+            projections.append(k)
         min_under = min(min_under, float(y.min()))
         if k >= tail_start:
             tail_acc += y
             tail_n += 1
-        if rec.want(k):
-            rec.record(k, y, None, wacc, wsum)
+        if k % cfg.record_every == 0 or k == n:
+            gaps.append((k, _plain_gap(ctx, y)))
+            ys.append((k, y.copy()))
+            avgs.append((k, wacc / wsum))
     if not diverged and not converged:
         tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
         grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
+    if converged and (not gaps or gaps[-1][0] != done):  # the trace ends at the returned y
+        hits.add("final record")
+        gaps.append((done, _plain_gap(ctx, y)))
+        ys.append((done, y.copy()))
+        if wsum > 0.0:
+            avgs.append((done, wacc / wsum))
+    diverged = _end_trace(gaps, done, diverged)
     result = md.RunResult(
         y_final=y, xi_final=math.nan,
         y_weighted_avg=wacc / wsum if wsum > 0.0 else y.copy(),
         y_tail_avg=tail_acc / tail_n if tail_n > 0 else y.copy(),
-        xi_tail_avg=math.nan, gap_trace=rec.gap_trace, min_underbar_y=min_under,
+        xi_tail_avg=math.nan, gap_trace=gaps, min_underbar_y=min_under,
         diverged=diverged, iterations=done, grad_norm=grad_norm, gamma_sum=gamma_sum,
-        n_projections=rec.n_projections, y_trace=rec.y_trace, avg_trace=rec.avg_trace,
-        xi_trace=rec.xi_trace, projection_iters=rec.projection_iters)
+        n_projections=len(projections), y_trace=ys, avg_trace=avgs, xi_trace=[],
+        projection_iters=projections)
     return result, hits
 
 
@@ -612,7 +648,7 @@ _DMD_ORACLE_GRID = [
     ("es", 3, 1.0, 10.0, None, {"cap"}),
     ("mad", 10, 30.0, 100.0, None, {"cap"}),
     ("variantile", 3, 1.0, 1e7, None, set()),
-    ("mad", 3, 30.0, 1e7, 1e-3, {"grad_tol"}),
+    ("mad", 3, 30.0, 1e7, 1e-3, {"grad_tol", "final record"}),
     ("es", 3, 5e4, 100.0, None, {"clamp", "cap", "diverged"}),
     ("mad", 10, 5e4, 10.0, None, {"clamp", "cap"}),
     ("variantile", 10, 30.0, 1e7, None, {"clamp", "cap", "diverged"}),
@@ -626,7 +662,7 @@ def test_dmd_runs_match_plain_oracle_bit_for_bit(measure, d, gamma0, m_cap, grad
     ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d), _MEASURES[measure], model)
     cfg = md.OptimizerConfig(m_cap=m_cap, schedule=md.StepSchedule.constant(gamma0),
                              iterations=40, y0=md.default_y0(model, m_cap), record_every=7,
-                             record_weights=True, grad_tol=grad_tol)
+                             grad_tol=grad_tol)
     with np.errstate(all="ignore"):
         want, hits = _reference_dmd_run(ctx, cfg)
         got = md.dmd_run(ctx, cfg)
