@@ -1,4 +1,5 @@
-"""Cost of the objective layer: VaR, outer_gradient per (measure, model) and reference solves.
+"""Cost of the market and objective layers: sampling, the VaR, ES and partial-moment
+kernels, outer_gradient per (measure, model) and reference solves.
 
     PYTHONPATH=src python -m pytest benchmarks/test_layer_cost.py
 
@@ -7,10 +8,14 @@ interior point, for each measure on the README three-asset mixture and for
 the variantile on a centred single t; ``extra_info["us_per_call"]`` is the
 median.  ``test_var_cost`` times one ``var_exact`` call at alpha = 0.95 for
 the equal-weight portfolio of the README mixture and of the d = 50 desk model
-(synthetic, seed 2024).  ``test_reference_cost`` times ``reference_portfolio``:
-ES 95% on the README mixture at tol 1e-10 and on the desk model at tol 1e-8,
-MAD on the README mixture at tol 1e-5; it records the median seconds and the
-iteration count.  These files sit outside ``tests/`` and are not part of the
+(synthetic, seed 2024); ``test_tail_kernel_cost`` times ``es_exact`` (alpha =
+0.95) and ``expected_power_loss`` (p = 1 and 2, about the 0.75 quantile) for
+the same two portfolios.  ``test_sampling_cost`` draws 100,000 return vectors
+with ``sample_returns`` from the synthetic (seed 2024) models at d = 3, 10 and
+50 and records ``extra_info["draws_per_s"]``.  ``test_reference_cost`` times
+``reference_portfolio``: ES 95% on the README mixture at tol 1e-10 and on the
+desk model at tol 1e-8, MAD on the README mixture at tol 1e-5; it records the
+median seconds and the iteration count.  These files sit outside ``tests/`` and are not part of the
 default test run.
 """
 
@@ -31,6 +36,7 @@ README_MODEL = mm.MixtureModel(
 CENTRED_T = mm.MixtureModel.single_t(np.zeros(3), LAMBDA1, 4.5)
 
 DESK_MODEL = generate_model(50, 2024)
+N_DRAWS = 100_000
 
 # (measure, model) -> objective inputs
 CASES = {
@@ -63,6 +69,29 @@ def test_var_cost(benchmark, model):
     var = benchmark.pedantic(mm.var_exact, args=(params, 0.95), rounds=500, warmup_rounds=5)
     assert abs(mm.mixture_cdf(params, var) - 0.95) <= 1e-12
     benchmark.extra_info["us_per_call"] = benchmark.stats.stats.median * 1e6
+
+
+@pytest.mark.parametrize("kernel", ["es", "power-loss-p1", "power-loss-p2"])
+@pytest.mark.parametrize("model", [README_MODEL, DESK_MODEL], ids=["mixture", "desk"])
+def test_tail_kernel_cost(benchmark, model, kernel):
+    params = mm.portfolio_loss_params(model, np.full(model.d, 1.0 / model.d))
+    if kernel == "es":
+        fn, args = mm.es_exact, (params, 0.95)
+    else:  # an asymmetric p-th moment about the 0.75 quantile
+        fn, args = mm.expected_power_loss, (params, 1.0, 0.5, int(kernel[-1]),
+                                            mm.var_exact(params, 0.75))
+    value = benchmark.pedantic(fn, args=args, rounds=500, warmup_rounds=5)
+    assert np.isfinite(value) and value > 0.0
+    benchmark.extra_info["us_per_call"] = benchmark.stats.stats.median * 1e6
+
+
+@pytest.mark.parametrize("d", [3, 10, 50], ids=lambda d: f"d{d}")
+def test_sampling_cost(benchmark, d):
+    model = DESK_MODEL if d == 50 else generate_model(d, 2024)
+    draws = benchmark.pedantic(mm.sample_returns, args=(model, N_DRAWS, 11), rounds=5,
+                               warmup_rounds=1)
+    assert draws.shape == (N_DRAWS, d) and np.all(np.isfinite(draws))
+    benchmark.extra_info["draws_per_s"] = N_DRAWS / benchmark.stats.stats.median
 
 
 @pytest.mark.parametrize("case, tol", [(("es", "mixture"), 1e-10), (("es", "desk"), 1e-8),

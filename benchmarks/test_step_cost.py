@@ -3,14 +3,19 @@
     PYTHONPATH=src python -m pytest benchmarks/test_step_cost.py
 
 The stochastic cases run one epoch over 20,000 seeded samples of a synthetic
-ES 95% problem, the DMD case 200 iterations on the same problem, each with
-sparse recording (one gap record at the end), so the loop body dominates.
+ES 95% problem at d = 3, 10 and 50, the DMD case 200 iterations on the same
+problem, each with sparse recording (one gap record at the end), so the loop
+body and the once-per-block bookkeeping dominate.  ``test_dense_record_cost``
+runs SMD at d = 3 with a gap record every 100 steps, as a desk-scale ``run``
+does; it also times one record's ``gamma_value`` and reports the step cost
+less the records' share.
 ``extra_info["us_per_step"]`` is the median run time divided by the step
 count.  These files sit outside ``tests/`` and are not part of the default
 test run.
 """
 
 import dataclasses
+import timeit
 
 import numpy as np
 import pytest
@@ -23,11 +28,10 @@ from rbmd.bench_cli import generate_model
 
 N_SAMPLES = 20_000
 N_DMD = 200
+DENSE_RECORD = 100
 
 
-@pytest.fixture(scope="module", params=[3, 10], ids=lambda d: f"d{d}")
-def problem(request):
-    d = request.param
+def make_problem(d):
     model = generate_model(d, 2024)
     ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d),
                               rl.MeasureSpec.expected_shortfall(0.95), model)
@@ -36,6 +40,11 @@ def problem(request):
                              iterations=1, y0=md.default_y0(model, 100.0),
                              record_every=N_SAMPLES)
     return ctx, samples, cfg
+
+
+@pytest.fixture(scope="module", params=[3, 10, 50], ids=lambda d: f"d{d}")
+def problem(request):
+    return make_problem(request.param)
 
 
 @pytest.mark.parametrize("runner", ["smd", "sgd-tamed", "sgd-classical"])
@@ -62,3 +71,15 @@ def test_dmd_iteration_cost(benchmark, problem):
     result = benchmark.pedantic(md.dmd_run, args=(ctx, cfg), rounds=5, warmup_rounds=1)
     assert not result.diverged and result.iterations == N_DMD
     benchmark.extra_info["us_per_step"] = benchmark.stats.stats.median / N_DMD * 1e6
+
+
+def test_dense_record_cost(benchmark):
+    ctx, samples, cfg = make_problem(3)
+    cfg = dataclasses.replace(cfg, record_every=DENSE_RECORD)
+    result = benchmark.pedantic(md.smd_run, args=(ctx, samples, cfg), rounds=5, warmup_rounds=1)
+    assert result.iterations == N_SAMPLES and len(result.gap_trace) == N_SAMPLES // DENSE_RECORD
+    us_per_step = benchmark.stats.stats.median / N_SAMPLES * 1e6
+    us_per_record = timeit.timeit(lambda: rb.gamma_value(ctx, result.y_final), number=200) / 200 * 1e6
+    benchmark.extra_info["us_per_step"] = us_per_step
+    benchmark.extra_info["us_per_record"] = us_per_record
+    benchmark.extra_info["us_per_step_less_records"] = us_per_step - us_per_record / DENSE_RECORD

@@ -333,18 +333,19 @@ def _jsonable(value):
 
 
 def write_trace_csv(path: Path, result: md.RunResult, schedule: md.StepSchedule) -> None:
-    gaps = dict(result.gap_trace)
+    """One row per gap-trace entry.  Records carry y and xi; a diverged run's
+    closing ``(iterations, inf)`` is no record and has nan in those columns."""
+    d = result.y_final.size
+    header = ["iter", "gamma", "gap", "xi"] + [f"y_{i + 1}" for i in range(d)]
     xis = dict(result.xi_trace)
-    header = None
     rows = []
-    for k, y in result.y_trace:
-        if header is None:
-            header = ["iter", "gamma", "gap", "xi"] + [f"y_{i + 1}" for i in range(y.size)]
+    for i, (k, gap) in enumerate(result.gap_trace):
+        if i < len(result.y_trace):
+            xi, y = xis.get(k, math.nan), result.y_trace[i][1]
+        else:
+            xi, y = math.nan, [math.nan] * d
         gamma = md.step_size(schedule, k) if k else math.nan  # a DMD run that took no step
-        rows.append([k, _fmt(gamma), _fmt(gaps.get(k, math.nan)),
-                     _fmt(xis.get(k, math.nan))] + [_fmt(v) for v in y])
-    if header is None:
-        header = ["iter", "gamma", "gap", "xi"]
+        rows.append([k, _fmt(gamma), _fmt(gap), _fmt(xi)] + [_fmt(v) for v in y])
     _write_csv(path, header, rows)
 
 
@@ -566,7 +567,7 @@ def cmd_figure_data(config: ExperimentConfig, out_dir: Path) -> int:
                     n_rows += 1
                     it = row["iter"]
                     y = np.array([float(row[c]) for c in y_cols])
-                    if y.size:
+                    if y.size and not np.isnan(y).all():  # all nan: a divergence row
                         total = y.sum()
                         for i, c in enumerate(y_cols):
                             out_rows.append([f"{stem}.{c}", it, _fmt(y[i])])

@@ -28,6 +28,10 @@ __all__ = [
 _CLAMP = 700.0
 _TINY = 5e-324  # smallest positive double; prox outputs stay strictly positive
 _SGD_FLOOR = 1e-4  # value the SGD baselines reset nonpositive coordinates to
+_BLOCK = 256  # steps between two updates of a run's running sums
+# the reductions ndarray.sum and ndarray.min call, without their Python wrappers
+_sum = np.add.reduce
+_min = np.minimum.reduce
 
 
 @dataclass(frozen=True)
@@ -147,29 +151,31 @@ def default_y0(model: mm.MixtureModel, m_cap: float) -> np.ndarray:
     return y0
 
 
-def _prox(y: np.ndarray, e: np.ndarray, m: float, bound: float = math.inf):
+def _prox(y: np.ndarray, e: np.ndarray, m: float, bound: float = math.inf, out=None):
     """Entropic prox y * exp(e), rescaled onto the l1 ball of radius m when its
-    sum exceeds m; e is overwritten.  Returns the new point, whether the cap
-    was active, and its min.  The output is always finite and strictly
-    positive: exponents are clamped to +-_CLAMP and underflows floored to
-    _TINY.  ``bound`` is an upper bound on max|e_i|; at 600 or less (100 below
-    _CLAMP, room for its rounding) the clamp cannot act and is skipped."""
+    sum exceeds m, written to ``out`` (a new array when None, never y); e is
+    overwritten.  Returns the new point, whether the cap was active, and its
+    min.  The output is always finite and strictly positive: exponents are
+    clamped to +-_CLAMP and underflows floored to _TINY.  ``bound`` is an upper
+    bound on max|e_i|; at 600 or less (100 below _CLAMP, room for its rounding)
+    the clamp cannot act and is skipped."""
     if not bound <= 600.0:
         np.maximum(e, -_CLAMP, out=e)
         np.minimum(e, _CLAMP, out=e)
     np.exp(e, out=e)
-    w = y * e
-    s = float(w.sum())
+    w = np.multiply(y, e, out=out)
+    s = float(_sum(w))
     projected = not s <= m
     if not math.isfinite(s):
         # log-domain fallback: only reachable for extreme caps/overflow
-        w = np.log(y) + np.log(e)
+        np.log(y, out=w)
+        w += np.log(e, out=e)
         w -= w.max()
         np.exp(w, out=w)
         w *= m / w.sum()
     elif projected:
         w *= m / s
-    ymin = float(w.min())
+    ymin = float(_min(w))
     if ymin < _TINY:  # an exp or a rescale underflowed to 0
         np.maximum(w, _TINY, out=w)
         ymin = _TINY
@@ -191,10 +197,19 @@ def prox_map(y: np.ndarray, v: np.ndarray, m: float) -> np.ndarray:
 
 class _Run:
     """Bookkeeping of one run for every runner, which keeps only its update
-    rule, and the one RunResult builder.  ``step`` books an update: the
-    gamma-weighted sum of the iterates steps start from, the tail sums from
-    step ``tail_start`` on, min y, the capped steps, and every
-    ``record_every`` steps and at step ``total`` a record.  xi is None for DMD."""
+    rule, and the one RunResult builder.
+
+    The iterates live in a block of ``_BLOCK + 1`` rows: row 0 holds the
+    iterate the block starts from, and the runner writes the block's step j
+    straight into row j (the second view of ``current``).  ``step`` books a
+    step in scalars only: gamma, the step sum, min y, the capped steps and the
+    xi tail sum.  ``flush`` keeps the gamma-weighted sum of the iterates steps
+    start from and the tail sum of the iterates from step ``tail_start`` on,
+    on a record, on a full block and at the end.  It reduces each sum over the
+    block with the running sum in its first row; an axis-0 reduction of a
+    C-contiguous array adds the rows in order, so the sums equal per-step
+    ``+=`` updates bit for bit.  A record falls every ``record_every`` steps
+    and at step ``total``.  xi is None for DMD."""
 
     def __init__(self, ctx, cfg: OptimizerConfig, total: int, gamma_star, y0):
         self.ctx = ctx
@@ -202,6 +217,13 @@ class _Run:
         self.total = total
         self.base = 0.0 if gamma_star is None else gamma_star
         self.tail_start = total - max(1, math.ceil(cfg.tail_fraction * total)) + 1
+        self.block = np.empty((_BLOCK + 1, y0.size))
+        self.block[0] = y0
+        self.rows = list(self.block)  # row views made once, not per step
+        self.addends = np.empty_like(self.block)
+        self.gammas = np.empty(_BLOCK)
+        self.n = 0  # steps in the block
+        self.k0 = 0  # steps before it
         self.wacc = np.zeros_like(y0)
         self.wsum = 0.0
         self.tail_acc = np.zeros_like(y0)
@@ -214,24 +236,55 @@ class _Run:
         self.xi_trace = []
         self.projection_iters = []
 
-    def step(self, k: int, gamma: float, y_old, y, xi, ymin: float, projected: bool):
-        """Book step k, which moved ``y_old`` to ``y`` (least coordinate
-        ``ymin``) with step size gamma."""
-        self.wacc += gamma * y_old
+    @property
+    def current(self):
+        """The iterate the next step starts from and the row it writes to."""
+        return self.rows[self.n], self.rows[self.n + 1]
+
+    def step(self, k: int, gamma: float, xi, ymin: float, projected: bool):
+        """Book step k, which wrote its iterate (least coordinate ``ymin``)
+        to the row ``current`` handed out, with step size gamma; returns the
+        new ``current``."""
+        n = self.n
+        self.gammas[n] = gamma
+        self.n = n = n + 1
         self.wsum += gamma
         if projected:
             self.projection_iters.append(k)
         if ymin < self.min_under:
             self.min_under = ymin
-        if k >= self.tail_start:
-            self.tail_acc += y
-            self.tail_n += 1
-            if xi is not None:
-                self.xi_tail += xi
+        if xi is not None and k >= self.tail_start:
+            self.xi_tail += xi
         if k % self.record_every == 0 or k == self.total:
-            self.record(k, y, xi)
+            self.record(k, xi)
+        elif n == _BLOCK:
+            self.flush()
+        n = self.n
+        return self.rows[n], self.rows[n + 1]
 
-    def record(self, k: int, y, xi):
+    def flush(self):
+        """Add the block's steps to the weighted and tail sums and start a new
+        block from its last iterate."""
+        n = self.n
+        if n == 0:
+            return
+        block, acc = self.block, self.addends
+        acc[0] = self.wacc
+        np.multiply(self.gammas[:n, None], block[:n], out=acc[1:n + 1])
+        np.add.reduce(acc[:n + 1], axis=0, out=self.wacc)
+        first = max(self.tail_start - self.k0, 1)
+        if first <= n:
+            acc[first - 1] = self.tail_acc
+            acc[first:n + 1] = block[first:n + 1]
+            np.add.reduce(acc[first - 1:n + 1], axis=0, out=self.tail_acc)
+            self.tail_n += n + 1 - first
+        block[0] = block[n]
+        self.k0 += n
+        self.n = 0
+
+    def record(self, k: int, xi):
+        self.flush()
+        y = self.rows[0]
         try:
             gap = rb.gamma_value(self.ctx, y) - self.base
         except ValueError:  # y left the open orthant: the run blew up
@@ -245,15 +298,18 @@ class _Run:
         if xi is not None:
             self.xi_trace.append((k, xi))
 
-    def result(self, y, xi, diverged: bool, iterations: int,
+    def result(self, xi, diverged: bool, iterations: int,
                grad_norm: float = math.nan) -> RunResult:
-        """The trace ends at the returned iterate y: a run that stopped early
-        (DMD on ``grad_tol``) records it at step ``iterations``.  A run whose
-        last record reads +inf (its loss law overflowed) is diverged, and a
-        diverged run's trace ends with one ``(iterations, inf)``."""
+        """The trace ends at the returned iterate, the last one booked: a run
+        that stopped early (DMD on ``grad_tol``) records it at step
+        ``iterations``.  A run whose last record reads +inf (its loss law
+        overflowed) is diverged, and a diverged run's trace ends with one
+        ``(iterations, inf)``."""
+        self.flush()
+        y = self.rows[0].copy()
         trace = self.gap_trace
         if not diverged and (not trace or trace[-1][0] != iterations):
-            self.record(iterations, y, xi)
+            self.record(iterations, xi)
         if trace[-1:] == [(iterations, math.inf)]:
             diverged = True
         elif diverged:
@@ -278,8 +334,8 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
     Iterates y^{k+1} = prox(y^k, gamma_{k+1} * tamed gradient, m) and stops
     early once the tamed gradient sup-norm falls below ``cfg.grad_tol``.
     """
-    y = cfg.y0.copy()
-    run = _Run(ctx, cfg, cfg.iterations, gamma_star, y)
+    run = _Run(ctx, cfg, cfg.iterations, gamma_star, cfg.y0)
+    y, nxt = run.current
     diverged = False
     grad_norm = math.inf
     done = 0
@@ -292,14 +348,13 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
         grad_norm = float(np.abs(tg).max())
         if cfg.grad_tol is not None and grad_norm <= cfg.grad_tol:
             break
-        y_new, projected, ymin = _prox(y, tg * -gamma, cfg.m_cap, gamma * grad_norm)
-        run.step(k, gamma, y, y_new, None, ymin, projected)
-        y = y_new
+        _, projected, ymin = _prox(y, tg * -gamma, cfg.m_cap, gamma * grad_norm, nxt)
+        y, nxt = run.step(k, gamma, None, ymin, projected)
         done = k
     else:
         tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
         grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
-    return run.result(y, None, diverged, done, grad_norm)
+    return run.result(None, diverged, done, grad_norm)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging run overflows; it is flagged
@@ -307,12 +362,14 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     """Shared loop of SMD (``rule`` "smd") and the SGD baselines ("tamed",
     "classical").
 
-    Every rule builds ng = -grad_y = b/y + X dL/dz and steps along
-    step * ng, with step = gamma * kappa(y) (gamma for "classical").  SMD
-    takes the entropic prox ``_prox(y, step * ng)``; the SGD baselines take
-    y + step * ng and reset nonpositive coordinates to ``_SGD_FLOOR``.
-    min(y) is taken once per step and serves the record of min y, the next
-    kappa and the floor test.
+    Every rule builds ng = -grad_y = b/y + X dL/dz in one reused buffer and
+    steps along step * ng, with step = gamma * kappa(y) (gamma for
+    "classical").  SMD takes the entropic prox ``_prox(y, step * ng)``; the
+    SGD baselines take y + step * ng and reset nonpositive coordinates to
+    ``_SGD_FLOOR``.  Either writes the new iterate straight into the run's
+    next block row, so a step books only scalars and ``_Run.flush`` keeps the
+    averages once per block.  min(y) is taken once per step and serves the
+    record of min y, the next kappa and the floor test.
     """
     samples = np.ascontiguousarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
@@ -325,9 +382,11 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     smd = rule == "smd"
     tamed = rule != "classical"
     x_max = max(float(samples.max()), -float(samples.min()))  # bounds every |X_i|
-    y = cfg.y0.copy()
     xi = float(cfg.xi0)
-    run = _Run(ctx, cfg, cfg.epochs * samples.shape[0], gamma_star, y)
+    run = _Run(ctx, cfg, cfg.epochs * samples.shape[0], gamma_star, cfg.y0)
+    y, nxt = run.current
+    ng = np.empty_like(y)
+    xg = np.empty_like(y)
     ymin = run.min_under
     projected = False
     diverged = False
@@ -338,34 +397,33 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     for _ in range(cfg.epochs):
         for x in samples:
             k += 1
-            z = -float(y @ x)
+            z = -float(y.dot(x))
             if not (math.isfinite(z) and math.isfinite(xi)):
                 diverged = True
                 break
             gamma = gamma0 if constant else gamma0 * float(k) ** -beta
             g_xi, g_z = grads(xi, z)
             xi = xi - gamma * g_xi
-            ng = b / y
+            np.divide(b, y, out=ng)
             if g_z != 0.0:  # x * 0 would only add signed zeros
-                ng += x * g_z
-            step = gamma * min(ymin, 1.0) if tamed else gamma
+                ng += np.multiply(x, g_z, out=xg)
+            # kappa = min(ymin, 1), NaN kept, without a builtin call
+            step = gamma * (1.0 if ymin > 1.0 else ymin) if tamed else gamma
             ng *= step
-            y_old = y
             if smd:
                 # Since kappa <= y_i and b_i <= 1, |step * ng_i| is at most
                 # gamma + step * |X_i dL/dz|.  That bound needs b/y finite,
                 # which y >= 1e-300 ensures: for a subnormal y_i, b_i / y_i is
                 # inf.
                 bound = step * abs(g_z) * x_max + gamma if ymin >= 1e-300 else math.inf
-                y, projected, ymin = _prox(y, ng, m, bound)
+                _, projected, ymin = _prox(y, ng, m, bound, nxt)
             else:
-                ng += y
-                y = ng
-                ymin = float(y.min())
+                np.add(ng, y, out=nxt)
+                ymin = float(_min(nxt))
                 if not ymin > 0.0:
-                    y = np.where(y <= 0.0, _SGD_FLOOR, y)
-                    ymin = float(y.min())
-            run.step(k, gamma, y_old, y, xi, ymin, projected)
+                    nxt[nxt <= 0.0] = _SGD_FLOOR
+                    ymin = float(_min(nxt))
+            y, nxt = run.step(k, gamma, xi, ymin, projected)
         if diverged:
             break
     # Blowups in the uncapped baselines surface as a non-finite loss z at the
@@ -374,7 +432,7 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     # here.
     if not (np.all(np.isfinite(y)) and math.isfinite(xi)):
         diverged = True
-    return run.result(y, xi, diverged, k)
+    return run.result(xi, diverged, k)
 
 
 def smd_run(ctx: rb.ObjectiveContext, samples: np.ndarray, cfg: OptimizerConfig,

@@ -469,6 +469,39 @@ def test_cmd_run_diverged_dmd(tmp_path):
     assert summary["weights_final"] is None and summary["gap_final"] is None
 
 
+@pytest.mark.parametrize("algorithm,iterations", [("dmd", 20), ("smd", 53)])
+def test_cmd_run_diverged_trace_ends_at_the_blowup(tmp_path, algorithm, iterations):
+    # dmd: b / y overflows at step 21; smd: xi runs off to inf, and the draw
+    # of step 54 meets a non-finite loss.  Both stop between two records.
+    if algorithm == "dmd":
+        doc = {"model": {"synthetic": {"d": 10, "seed": 50}},
+               "optimizer": {"m_cap": 1e7, "iterations": 40}, "seed": 7}
+    else:
+        doc = {"model": {"synthetic": {"d": 3, "seed": 43}},
+               "optimizer": {"m_cap": 100.0, "epochs": 2}, "samples": 60, "seed": 43}
+    doc["measure"] = {"kind": "variantile", "alpha": 0.75}
+    doc["optimizer"].update(algorithm=algorithm, record_every=7, schedule={
+        "kind": "constant", "gamma0": 30.0 if algorithm == "dmd" else 1e6})
+    out = tmp_path / "run"
+    assert bc.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diverged"] and summary["iterations"] == iterations
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    records = iterations // 7
+    assert [int(row["iter"]) for row in rows] == [7 * (j + 1) for j in range(records)] + [
+        iterations]
+    assert all(math.isfinite(float(row["y_1"])) for row in rows[:-1])
+    last = rows[-1]
+    assert float(last["gap"]) == math.inf
+    assert all(math.isnan(float(last[key])) for key in last if key not in ("iter", "gamma", "gap"))
+    fig_cfg = write_config(tmp_path, {"input": str(out)}, name="fig.json")
+    assert bc.main(["figure-data", "--config", fig_cfg, "--out", str(tmp_path / "fig")]) == 0
+    with open(tmp_path / "fig" / "figure_data.csv", newline="") as fh:
+        last_rows = [row for row in csv.DictReader(fh) if int(row["iter"]) == iterations]
+    assert [(row["series"], row["value"]) for row in last_rows] == [("trace.gap", "inf")]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cmd_run_overflowed_sgd_is_diverged(tmp_path):
     # gamma0 = 1e300 leaves finite iterates whose loss law overflows: the last

@@ -551,9 +551,23 @@ _ORACLE_GRID = [
 ]
 
 
+@pytest.fixture
+def block(request, monkeypatch):
+    """Runs book their sums in blocks of this many steps.  In the 120-step
+    and 40-step oracle cases (records every 7 steps), 5 flushes full blocks
+    between records, and 7 puts every record on a block boundary and the
+    tail start inside a block; both stop diverged runs inside a block."""
+    monkeypatch.setattr(md, "_BLOCK", request.param)
+
+
+_BLOCKS = pytest.mark.parametrize("block", [md._BLOCK, 5, 7], ids=lambda n: f"B{n}",
+                                  indirect=True)
+
+
+@_BLOCKS
 @pytest.mark.parametrize("rule,measure,d,sched,m_cap,branches", _ORACLE_GRID)
 def test_stochastic_runs_match_plain_oracle_bit_for_bit(rule, measure, d, sched, m_cap,
-                                                        branches):
+                                                        branches, block):
     model = generate_model(d, 40 + d)
     ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d), _MEASURES[measure], model)
     samples = mm.sample_returns(model, 60, seed=d)
@@ -655,9 +669,10 @@ _DMD_ORACLE_GRID = [
 ]
 
 
+@_BLOCKS
 @pytest.mark.parametrize("measure,d,gamma0,m_cap,grad_tol,branches", _DMD_ORACLE_GRID)
 def test_dmd_runs_match_plain_oracle_bit_for_bit(measure, d, gamma0, m_cap, grad_tol,
-                                                 branches):
+                                                 branches, block):
     model = generate_model(d, 40 + d)
     ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d), _MEASURES[measure], model)
     cfg = md.OptimizerConfig(m_cap=m_cap, schedule=md.StepSchedule.constant(gamma0),
