@@ -15,6 +15,7 @@ test run.
 """
 
 import dataclasses
+import math
 import timeit
 
 import numpy as np
@@ -29,6 +30,12 @@ from rbmd.bench_cli import generate_model
 N_SAMPLES = 20_000
 N_DMD = 200
 DENSE_RECORD = 100
+
+
+def median_s(benchmark) -> float:
+    """Median round time in seconds; NaN under ``--benchmark-disable``, which
+    runs each case once and keeps no stats."""
+    return math.nan if benchmark.stats is None else benchmark.stats.stats.median
 
 
 def make_problem(d):
@@ -62,7 +69,7 @@ def test_step_cost(benchmark, problem, runner):
     result = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
     assert not result.diverged and result.iterations == N_SAMPLES
     assert np.all(np.isfinite(result.y_final))
-    benchmark.extra_info["us_per_step"] = benchmark.stats.stats.median / N_SAMPLES * 1e6
+    benchmark.extra_info["us_per_step"] = median_s(benchmark) / N_SAMPLES * 1e6
 
 
 def test_dmd_iteration_cost(benchmark, problem):
@@ -70,7 +77,7 @@ def test_dmd_iteration_cost(benchmark, problem):
     cfg = dataclasses.replace(cfg, iterations=N_DMD, record_every=N_DMD)
     result = benchmark.pedantic(md.dmd_run, args=(ctx, cfg), rounds=5, warmup_rounds=1)
     assert not result.diverged and result.iterations == N_DMD
-    benchmark.extra_info["us_per_step"] = benchmark.stats.stats.median / N_DMD * 1e6
+    benchmark.extra_info["us_per_step"] = median_s(benchmark) / N_DMD * 1e6
 
 
 def test_dense_record_cost(benchmark):
@@ -78,7 +85,7 @@ def test_dense_record_cost(benchmark):
     cfg = dataclasses.replace(cfg, record_every=DENSE_RECORD)
     result = benchmark.pedantic(md.smd_run, args=(ctx, samples, cfg), rounds=5, warmup_rounds=1)
     assert result.iterations == N_SAMPLES and len(result.gap_trace) == N_SAMPLES // DENSE_RECORD
-    us_per_step = benchmark.stats.stats.median / N_SAMPLES * 1e6
+    us_per_step = median_s(benchmark) / N_SAMPLES * 1e6
     us_per_record = timeit.timeit(lambda: rb.gamma_value(ctx, result.y_final), number=200) / 200 * 1e6
     benchmark.extra_info["us_per_step"] = us_per_step
     benchmark.extra_info["us_per_record"] = us_per_record

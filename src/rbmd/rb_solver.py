@@ -33,6 +33,17 @@ __all__ = [
     "divergence_flag",
 ]
 
+_HESS_STEP = 1e-7  # forward-difference step of the reference Hessian, relative to y_j
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the reference line search
+_ARMIJO_HALVINGS = 60  # backtracking steps before the line search counts as exhausted
+# Rounding of a computed Gamma, relative to max(1, |Gamma|): its two terms are
+# O(1) near the minimizer (g(r(y*)) = 1/p) and each carries up to some tens of
+# ulps.  Near the minimizer a Newton step lowers Gamma by less than that, so the
+# Armijo test allows it; without the slack the line search stalls there with a
+# tamed gradient of 1e-10 to 5e-9.
+_GAMMA_ROUNDING = 1e-13
+
+
 class ConvergenceError(RuntimeError):
     """Reference solve did not reach the requested gradient tolerance."""
 
@@ -279,46 +290,73 @@ class PortfolioReport:
 
 
 def reference_portfolio(ctx: ObjectiveContext, tol: float,
-                        max_iterations: int = 100_000) -> PortfolioReport:
+                        max_iterations: int = 100) -> PortfolioReport:
     """Solve for the budget-matching portfolio to a tamed-gradient tolerance.
 
-    Runs the deterministic mirror descent with a constant unit step and cap
-    m = 100 d; if that stalls, retries once with the decaying n^-0.55
-    schedule before giving up.
+    Damped Newton on Gamma from ``default_y0`` (cap m = 100 d), in the manner
+    of Spinu (2013): the Hessian is a forward-difference Jacobian of the
+    closed-form ``outer_gradient`` (steps 1e-7 y_j), symmetrized, plus
+    diag(b / y^2); each step stops at 0.9 of the distance to the orthant
+    boundary and backtracks by Armijo on ``gamma_value``.  The solve stops
+    once the tamed-gradient sup-norm is at most ``tol``; ``max_iterations``
+    caps the Newton steps, and ``PortfolioReport.iterations`` counts them.
+    A non-finite Hessian, a singular one, a direction that does not descend,
+    an exhausted line search or the step cap raises ``ConvergenceError``.
     """
     from . import mirror_descent as md
 
-    m_cap = 100.0 * ctx.d
-    schedules = [md.StepSchedule.constant(1.0), md.StepSchedule.power(1.0, 0.55)]
-    last_norm = math.inf
-    for schedule in schedules:
-        cfg = md.OptimizerConfig(
-            m_cap=m_cap,
-            schedule=schedule,
-            iterations=max_iterations,
-            y0=md.default_y0(ctx.model, m_cap),
-            record_every=max_iterations,
-            grad_tol=tol,
-        )
-        result = md.dmd_run(ctx, cfg)
-        last_norm = result.grad_norm
-        if not result.diverged and result.grad_norm <= tol:
-            u = normalize(result.y_final)
-            contributions, risk = risk_contributions(ctx, u)
-            var = None
-            if ctx.measure.is_es:
-                params = mm.portfolio_loss_params(ctx.model, u)
-                var = mm.var_exact(params, ctx.measure.alpha)
-            return PortfolioReport(
-                u=u,
-                y_raw=result.y_final,
-                contributions=contributions,
-                risk=risk,
-                var=var,
-                grad_norm=result.grad_norm,
-                iterations=result.iterations,
-            )
-    raise ConvergenceError(
-        f"reference solve stalled with gradient norm {last_norm:.3e} > {tol:.3e}",
-        grad_norm=last_norm,
-    )
+    def failure(reason: str) -> ConvergenceError:
+        return ConvergenceError(
+            f"reference solve failed after {step} Newton steps: {reason}; "
+            f"gradient norm {grad_norm:.3e} > {tol:.3e}", grad_norm=grad_norm)
+
+    b = ctx.budget.b
+    y = md.default_y0(ctx.model, 100.0 * ctx.d)
+    value = gamma_value(ctx, y)
+    for step in range(max_iterations + 1):
+        grad_outer = ctx.outer_gradient(y)
+        tg = tamed_gradient(ctx.budget, grad_outer, y)
+        grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
+        if grad_norm <= tol:
+            return _report(ctx, y, grad_norm, step)
+        if step == max_iterations:
+            raise failure("step cap reached")
+        hess = np.empty((ctx.d, ctx.d))
+        for j, h in enumerate(_HESS_STEP * y):
+            probe = y.copy()
+            probe[j] += h
+            hess[:, j] = (ctx.outer_gradient(probe) - grad_outer) / h
+        hess = 0.5 * (hess + hess.T) + np.diag(b / (y * y))
+        if not np.all(np.isfinite(hess)):
+            raise failure("non-finite Hessian")
+        grad = grad_outer - b / y
+        try:
+            direction = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            raise failure("singular Hessian") from None
+        slope = float(grad @ direction)
+        if not slope < 0.0:
+            raise failure("Newton direction does not descend")
+        shrinking = direction < 0.0
+        t = min(1.0, 0.9 * float((y[shrinking] / -direction[shrinking]).min(initial=math.inf)))
+        slack = _GAMMA_ROUNDING * max(1.0, abs(value))
+        for _ in range(_ARMIJO_HALVINGS):
+            trial = y + t * direction
+            trial_value = gamma_value(ctx, trial)
+            if trial_value <= value + _ARMIJO_C * t * slope + slack:
+                break
+            t *= 0.5
+        else:
+            raise failure("line search exhausted")
+        y, value = trial, trial_value
+
+
+def _report(ctx: ObjectiveContext, y: np.ndarray, grad_norm: float,
+            iterations: int) -> PortfolioReport:
+    u = normalize(y)
+    contributions, risk = risk_contributions(ctx, u)
+    var = None
+    if ctx.measure.is_es:
+        var = mm.var_exact(mm.portfolio_loss_params(ctx.model, u), ctx.measure.alpha)
+    return PortfolioReport(u=u, y_raw=y, contributions=contributions, risk=risk, var=var,
+                           grad_norm=grad_norm, iterations=iterations)

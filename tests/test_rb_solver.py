@@ -1,3 +1,4 @@
+import json
 import math
 from functools import partial
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from rbmd import bench_cli as bc
 from rbmd import market_models as mm
+from rbmd import mirror_descent as md
 from rbmd import rb_solver as rb
 from rbmd import risk_loss as rl
 
@@ -360,7 +362,7 @@ def test_reference_scale_invariance(bench_model, bench_reference):
 
 
 def test_reference_convergence_error(es_ctx):
-    # five mirror-descent steps cannot bring the gradient down to 1e-14
+    # five Newton steps cannot bring the gradient down to 1e-14
     with pytest.raises(rb.ConvergenceError) as err:
         rb.reference_portfolio(es_ctx, tol=1e-14, max_iterations=5)
     assert err.value.grad_norm > 1e-14
@@ -373,6 +375,103 @@ def test_reference_d50_es_converges_at_tight_tolerance():
     report = rb.reference_portfolio(ctx, tol=1e-10, max_iterations=20_000)
     assert report.grad_norm <= 1e-10
     assert report.iterations < 20_000
+
+
+@pytest.mark.parametrize("spec", [rl.MeasureSpec.expected_shortfall(0.95), rl.MeasureSpec.mad()],
+                         ids=["es", "mad"])
+def test_reference_matches_mirror_descent_oracle(bench_model, spec):
+    # the paper's deterministic mirror descent, run far past the reference
+    # tolerance, lands on the same portfolio as the Newton solve
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(3), spec, bench_model)
+    report = rb.reference_portfolio(ctx, tol=1e-10)
+    cfg = md.OptimizerConfig(m_cap=300.0, schedule=md.StepSchedule.constant(1.0),
+                             iterations=100_000, y0=md.default_y0(bench_model, 300.0),
+                             record_every=100_000, grad_tol=1e-12)
+    oracle = md.dmd_run(ctx, cfg)
+    assert not oracle.diverged and oracle.grad_norm <= 1e-12
+    assert np.abs(rb.normalize(oracle.y_final) - report.u).max() <= 1e-9
+
+
+def test_reference_d50_contributions_match_budget():
+    model = bc.generate_model(50, 2024)
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(50),
+                              rl.MeasureSpec.expected_shortfall(0.95), model)
+    report = rb.reference_portfolio(ctx, tol=1e-12)
+    assert np.abs(report.contributions / report.risk - 1.0 / 50).max() <= 1e-10
+
+
+MEASURE_SHAPES = {
+    "es": lambda rng: rl.MeasureSpec.expected_shortfall(float(rng.uniform(0.5, 0.995))),
+    "volatility": lambda rng: rl.MeasureSpec.volatility(),
+    "mad": lambda rng: rl.MeasureSpec.mad(),
+    "variantile": lambda rng: rl.MeasureSpec.variantile(float(rng.uniform(0.05, 0.995))),
+    "deviation": lambda rng: rl.MeasureSpec.deviation(
+        float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)), int(rng.integers(1, 3))),
+}
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 10),
+       shape=st.sampled_from(sorted(MEASURE_SHAPES)))
+def test_reference_contributions_match_random_budgets(seed, d, shape):
+    rng = np.random.default_rng(seed)
+    model = random_mixture_model(rng, d)
+    budget = rb.RiskBudget(rng.uniform(0.2, 1.0, d))
+    ctx = rb.ObjectiveContext(budget, MEASURE_SHAPES[shape](rng), model)
+    tol = 1e-10
+    report = rb.reference_portfolio(ctx, tol=tol)
+    assert report.grad_norm <= tol
+    # At the stop y_i d_i g(y) = b_i + y_i e_i with |e_i| <= tol / kappa, and
+    # c_i / r = y_i d_i g / sum_j y_j d_j g by homogeneity, so the relative
+    # contributions sit within about 2 |y|_1 tol / kappa of b.
+    y = report.y_raw
+    bound = 2.5 * y.sum() * tol / min(1.0, y.min()) + 1e-13
+    assert np.abs(report.contributions / report.risk - budget.b).max() <= bound
+
+
+def _nan_after_first_call(monkeypatch):
+    """Make ``outer_gradient`` return NaN from its second call on."""
+    calls = []
+    real = rb.ObjectiveContext.outer_gradient
+
+    def outer_gradient(self, y):
+        calls.append(None)
+        grad = real(self, y)
+        return grad if len(calls) == 1 else np.full_like(grad, np.nan)
+
+    monkeypatch.setattr(rb.ObjectiveContext, "outer_gradient", outer_gradient)
+
+
+def _singular_solve(monkeypatch):
+    def solve(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(rb.np.linalg, "solve", solve)
+
+
+@pytest.mark.parametrize("fault, reason", [(_nan_after_first_call, "non-finite Hessian"),
+                                           (_singular_solve, "singular Hessian")],
+                         ids=["nan-hessian", "singular-hessian"])
+def test_reference_newton_failure_raises(es_ctx, monkeypatch, fault, reason):
+    y0 = md.default_y0(es_ctx.model, 300.0)
+    start_norm = float(np.abs(rb.tamed_gradient(
+        es_ctx.budget, es_ctx.outer_gradient(y0), y0)).max())
+    fault(monkeypatch)
+    with pytest.raises(rb.ConvergenceError, match=reason) as err:
+        rb.reference_portfolio(es_ctx, tol=1e-10)
+    assert err.value.grad_norm == start_norm
+
+
+def test_cmd_reference_newton_failure_exits_2(capsys, tmp_path, monkeypatch):
+    _nan_after_first_call(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"inline": make_bench_model().to_dict()},
+                                  "measure": {"kind": "es", "alpha": 0.95}}))
+    code = bc.main(["reference", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite Hessian" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
