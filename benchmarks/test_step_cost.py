@@ -44,7 +44,7 @@ def make_problem(d):
                               rl.MeasureSpec.expected_shortfall(0.95), model)
     samples = mm.sample_returns(model, N_SAMPLES, seed=11)
     cfg = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.65),
-                             iterations=1, y0=md.default_y0(model, 100.0),
+                             iterations=1, y0=rb.default_y0(model, 100.0),
                              record_every=N_SAMPLES)
     return ctx, samples, cfg
 

@@ -116,7 +116,7 @@ _SCHEMA = {
         "iterations": (int, None),           # the sample count
         "epochs": (int, 1),
         "xi0": (float, 0.0),
-        "y0": ([float], None),               # mirror_descent.default_y0
+        "y0": ([float], None),               # rb_solver.default_y0
         "record_every": (int, 100),
         "tail_fraction": (float, 0.2),
         "grad_tol": (float, None),           # no gradient stop
@@ -270,7 +270,7 @@ class ExperimentConfig:
         if "schedule" not in opt:
             raise ConfigError("missing key 'optimizer.schedule'")
         m_cap = opt["m_cap"] if "m_cap" in opt else (100.0 if d <= 10 else 100.0 * d)
-        y0 = np.array(opt["y0"]) if "y0" in opt else md.default_y0(model, m_cap)
+        y0 = np.array(opt["y0"]) if "y0" in opt else rb.default_y0(model, m_cap)
         if y0.size != d:
             raise ConfigError("optimizer.y0 dimension mismatch")
         return _optimizer_config(
@@ -446,7 +446,7 @@ def run_replication(config: ExperimentConfig, d: int, index: int):
     samples = mm.sample_returns(model, n, seed=rep_seed ^ _SAMPLE_SEED_SALT)
     # Inverse-variance direction rescaled onto the r(y) = 1 shell, where the
     # minimizer lives for the identity outer function.
-    y0 = md.default_y0(model, m_cap)
+    y0 = rb.default_y0(model, m_cap)
     y0 = y0 / ctx.risk_value(y0)
     if y0.sum() > m_cap:
         y0 = y0 * (m_cap / y0.sum())
@@ -463,13 +463,9 @@ def run_replication(config: ExperimentConfig, d: int, index: int):
         result = _execute_run(name, ctx, samples, cfg, gamma_star)
         gaps = _checkpoint_gaps(result.gap_trace, total)
         final_gap = result.gap_trace[-1][1]
-        try:
-            u = rb.normalize(np.abs(result.y_final))
-            mde_val = rb.mde(u, reference.u)
-        except (ValueError, FloatingPointError):
-            mde_val = math.inf
-        if not math.isfinite(final_gap):
-            mde_val = math.inf
+        # a finite gap was evaluated at y_final, so y_final is interior
+        mde_val = (rb.mde(rb.normalize(result.y_final), reference.u)
+                   if math.isfinite(final_gap) else math.inf)
         rows.append({
             "optimizer": name,
             "d": d,

@@ -27,6 +27,7 @@ __all__ = [
     "covariance",
     "expected_power_loss",
     "expectile",
+    "upper_moments",
 ]
 
 # Fixed sampling chunk (rows scaled by dimension) so that the draws for a
@@ -280,29 +281,20 @@ def _t_tail_ex2(q, nu: float):
     return nu * ((nu - 1.0) / (nu - 2.0) * _t_sf(q * shrink, nu - 2.0) - _t_sf(q, nu))
 
 
-def _tail_moments(q, gaussian: bool, nu: float, order: int):
-    """(E[1{T > q}], E[T 1{T > q}]) and, for order 2, E[T^2 1{T > q}] of the
-    standardized component T; a t component needs nu > order."""
+def upper_moments(q, gaussian: bool, nu: float, k: int):
+    """(E[(T - q)_+^k], E[T (T - q)_+^k]) of the standardized component T for
+    k in {0, 1}, with (T - q)_+^0 = 1{T > q}; a t component needs nu > k + 1."""
     q = np.asarray(q, dtype=float)
     if gaussian:
-        sf = _norm_sf(q)
-        ex1 = _norm_pdf(q)
-        return (sf, ex1) if order == 1 else (sf, ex1, q * ex1 + sf)
-    if nu <= order:
-        raise NumericsError(f"tail moment of order {order} needs nu > {order}, got {nu}")
-    if order == 1:
-        return _t_sf(q, nu), _t_tail_ex1(q, nu)
-    return _t_sf(q, nu), _t_tail_ex1(q, nu), _t_tail_ex2(q, nu)
-
-
-def _partial_upper(q, gaussian: bool, nu: float, p: int):
-    """E[(T - q)_+^p] for the standardized component, p in {1, 2}."""
-    q = np.asarray(q, dtype=float)
-    if p == 1:
-        sf, ex1 = _tail_moments(q, gaussian, nu, 1)
-        return ex1 - q * sf
-    sf, ex1, ex2 = _tail_moments(q, gaussian, nu, 2)
-    return ex2 - 2.0 * q * ex1 + q ** 2 * sf
+        sf, ex1 = _norm_sf(q), _norm_pdf(q)
+    elif nu <= k + 1:
+        raise NumericsError(f"tail moment of order {k + 1} needs nu > {k + 1}, got {nu}")
+    else:
+        sf, ex1 = _t_sf(q, nu), _t_tail_ex1(q, nu)
+    if k == 0:
+        return sf, ex1
+    ex2 = q * ex1 + sf if gaussian else _t_tail_ex2(q, nu)
+    return ex1 - q * sf, ex2 - q * ex1
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +324,14 @@ def portfolio_loss_params(model: MixtureModel, w: np.ndarray) -> LossLawParams:
 def _mixture_eval(x, p: LossLawParams, density: bool = False):
     """CDF of the loss mixture at x, or its density when ``density`` is set:
     one ndtr / stdtr (normal / t pdf) call per component, summed w1 c1 + w2 c2."""
-
-    def component(loc, scale, gaussian, nu):
+    total = 0.0
+    for w, loc, scale, gauss, nu in p.components():
         z = (x - loc) / scale
         if density:
-            return (_norm_pdf(z) if gaussian else _t_pdf(z, nu)) / scale
-        return ndtr(z) if gaussian else stdtr(nu, z)
-
-    c1 = component(p.loc1, p.scale1, p.gaussian1, p.nu1)
-    if p.weight >= 1.0:
-        return c1
-    return p.weight * c1 + (1.0 - p.weight) * component(p.loc2, p.scale2, p.gaussian2, p.nu2)
+            total += w * ((_norm_pdf(z) if gauss else _t_pdf(z, nu)) / scale)
+        else:
+            total += w * (ndtr(z) if gauss else stdtr(nu, z))
+    return total
 
 
 def mixture_cdf(params: LossLawParams, x) -> float:
@@ -396,7 +385,7 @@ def es_exact(params: LossLawParams, alpha: float) -> float:
     q = _quantile(params, alpha)
     tail = 0.0
     for w, loc, scale, gauss, nu in params.components():
-        sf, ex1 = _tail_moments((q - loc) / scale, gauss, nu, 1)
+        sf, ex1 = upper_moments((q - loc) / scale, gauss, nu, 0)
         tail = tail + w * (loc * sf + scale * ex1)
     return float(tail / (1.0 - alpha))
 
@@ -427,12 +416,16 @@ def covariance(model: MixtureModel) -> np.ndarray:
 
 def expected_power_loss(params: LossLawParams, a_plus: float, b_minus: float,
                         p_power: int, xi: float) -> float:
-    """E[(a (Z - xi)_+ + b (Z - xi)_-)^p] in expanded two-branch form."""
+    """E[(a (Z - xi)_+ + b (Z - xi)_-)^p] in expanded two-branch form.  Per component,
+    with (m0, m1) the ``upper_moments`` of order p - 1, E[(T - q)_+^p] = m1 - q m0 at
+    q and E[(q - T)_+^p] = m1 + q m0 at -q (the standardized law is symmetric)."""
     total = 0.0
     for w, loc, scale, gauss, nu in params.components():
         q = (xi - loc) / scale
-        up = _partial_upper(q, gauss, nu, p_power)
-        down = _partial_upper(-q, gauss, nu, p_power)  # symmetry of t / normal
+        up0, up1 = upper_moments(q, gauss, nu, p_power - 1)
+        down0, down1 = upper_moments(-q, gauss, nu, p_power - 1)
+        up = up1 - q * up0
+        down = down1 + q * down0
         total += w * scale ** p_power * (a_plus ** p_power * up + b_minus ** p_power * down)
     return float(total)
 
@@ -451,7 +444,7 @@ def expectile(params: LossLawParams, tau: float) -> float:
         upper = sf = 0.0
         for w, loc, scale, gauss, nu in comps:
             q = (x - loc) / scale
-            sf_c, ex1 = _tail_moments(q, gauss, nu, 1)
+            sf_c, ex1 = upper_moments(q, gauss, nu, 0)
             upper += w * scale * (ex1 - q * sf_c)
             sf += w * sf_c
         step = float(((1.0 - 2.0 * tau) * upper + (1.0 - tau) * (x - mean))

@@ -17,7 +17,6 @@ __all__ = [
     "RunResult",
     "step_size",
     "prox_map",
-    "default_y0",
     "dmd_run",
     "smd_run",
     "sgd_run",
@@ -130,25 +129,6 @@ class RunResult:
     avg_trace: list
     xi_trace: list
     projection_iters: list
-
-
-def default_y0(model: mm.MixtureModel, m_cap: float) -> np.ndarray:
-    """Inverse-variance start 1/(d sigma_i^2), rescaled into the m ball.
-
-    Falls back to the entropy minimizer e^-1 (1, ..., 1) (or m/d when the
-    ball is smaller) if the model covariance does not exist.
-    """
-    d = model.d
-    try:
-        variances = np.diag(mm.covariance(model))
-        y0 = 1.0 / (d * variances)
-    except mm.NumericsError:
-        level = math.exp(-1.0) if m_cap >= d / math.e else m_cap / d
-        y0 = np.full(d, level)
-    total = y0.sum()
-    if total > m_cap:
-        y0 = y0 * (m_cap / total)
-    return y0
 
 
 def _prox(y: np.ndarray, e: np.ndarray, m: float, bound: float = math.inf, out=None):

@@ -29,6 +29,7 @@ __all__ = [
     "normalize",
     "risk_contributions",
     "mde",
+    "default_y0",
     "reference_portfolio",
     "divergence_flag",
 ]
@@ -96,25 +97,30 @@ class ObjectiveContext:
     def d(self) -> int:
         return self.model.d
 
-    def _loss_min(self, params: mm.LossLawParams):
-        """(xi*, min_xi E[L(xi, Z)]) from the first-order condition in xi:
-        xi* is the a/(a+b) quantile for p = 1 (Koenker and Bassett 1978) and
-        the a^2/(a^2+b^2) expectile for p = 2 (Newey and Powell 1987)."""
+    def _xi_star(self, params: mm.LossLawParams) -> float:
+        """The minimizing xi of E[L(xi, Z)], from its first-order condition:
+        the alpha quantile (VaR) for expected shortfall, the a/(a+b) quantile
+        for p = 1 (Koenker and Bassett 1978) and the a^2/(a^2+b^2) expectile
+        for p = 2 (Newey and Powell 1987)."""
         m = self.measure
+        if m.is_es:
+            return mm.var_exact(params, m.alpha)
         a, b = m.a_plus, m.b_minus
-        xi = (mm.var_exact(params, a / (a + b)) if m.p_power == 1
-              else mm.expectile(params, a * a / (a * a + b * b)))
-        return xi, mm.expected_power_loss(params, a, b, m.p_power, xi)
+        if m.p_power == 1:
+            return mm.var_exact(params, a / (a + b))
+        return mm.expectile(params, a * a / (a * a + b * b))
 
     # -- outer objective g(r(y)) ------------------------------------------
 
     def outer_value(self, y: np.ndarray) -> float:
         """g(r(y)): expected shortfall itself, or min_xi E[L(xi, -<y, X>)] = r(y)**p
         for a deviation measure."""
+        m = self.measure
         params = mm.portfolio_loss_params(self.model, y)
-        if self.measure.is_es:
-            return mm.es_exact(params, self.measure.alpha)
-        return self._loss_min(params)[1]
+        if m.is_es:
+            return mm.es_exact(params, m.alpha)
+        return mm.expected_power_loss(params, m.a_plus, m.b_minus, m.p_power,
+                                      self._xi_star(params))
 
     def risk_value(self, y: np.ndarray) -> float:
         """r(y) = rho(-<y, X>)."""
@@ -122,74 +128,49 @@ class ObjectiveContext:
 
     # -- gradients ----------------------------------------------------------
 
-    def _euler_sum(self, y: np.ndarray, params: mm.LossLawParams, threshold: float,
-                   moments) -> np.ndarray:
-        """E[h(Z) (-X)] for a function h of the loss Z = -<y, X>.
+    def outer_gradient(self, y: np.ndarray) -> np.ndarray:
+        """Gradient of g(r(.)) in closed form: E[h(Z) (-X)] with h = dL/dz(xi*, .),
+        by the envelope theorem at xi* (for expected shortfall this is
+        E[-X | Z >= VaR], Tasche 1999).
 
         In component c, Z = loc_c + s_c T and E[-X | T] = -mu_c + (Lambda_c y / s_c) T
-        is linear in T, so the sum over components needs only the 1-D moments
-        (E_c[h], E_c[T h]) = moments(q_c, s_c, gaussian_c, nu_c), taken at
-        q_c = (threshold - loc_c) / s_c.
-        """
-        model = self.model
-        grad = np.zeros(self.d)
-        for (w, loc, scale, gauss, nu), mu, lam in zip(
-                params.components(), (model.mu1, model.mu2), (model.lambda1, model.lambda2)):
-            h0, h1 = moments((threshold - loc) / scale, scale, gauss, nu)
-            grad += w * (h1 / scale * (lam @ y) - h0 * mu)
-        return grad
-
-    def _deviation_moments(self, q, scale: float, gaussian: bool, nu: float):
-        """(E[h], E[T h]) for h = dL/dz(xi*, loc + s T) with q = (xi* - loc) / s.
-
-        h = p s^(p-1) (a^p (T - q)_+^(p-1) - b^p (q - T)_+^(p-1)); the second
+        is linear in T, so each component needs only E_c[h] and E_c[T h].  With
+        q = (xi* - loc_c) / s_c these are the ``mm.upper_moments`` of order 0 at q
+        over (1 - alpha) for expected shortfall; for a deviation measure,
+        h = p s^(p-1) (a^p (T - q)_+^(p-1) - b^p (q - T)_+^(p-1)), whose second
         branch is the first one for -T at -q, as the standardized law is symmetric.
         """
         m = self.measure
+        model = self.model
+        params = mm.portfolio_loss_params(model, y)
+        xi = self._xi_star(params)
         p = m.p_power
-
-        def upper(t):
-            """(E[(T - t)_+^(p-1)], E[T (T - t)_+^(p-1)])."""
-            mom = mm._tail_moments(t, gaussian, nu, p)
-            if p == 1:
-                return mom
-            return mom[1] - t * mom[0], mom[2] - t * mom[1]
-
-        up0, up1 = upper(q)
-        down0, down1 = upper(-q)
-        c = p * scale ** (p - 1)
-        return (c * (m.a_plus ** p * up0 - m.b_minus ** p * down0),
-                c * (m.a_plus ** p * up1 + m.b_minus ** p * down1))
-
-    def _value_and_gradient(self, y: np.ndarray):
-        """(g(r(y)), grad g(r(y))) in closed form."""
-        m = self.measure
-        params = mm.portfolio_loss_params(self.model, y)
+        ap, bp = m.a_plus ** p, m.b_minus ** p
+        grad = np.zeros(self.d)
+        for (w, loc, scale, gauss, nu), mu, lam in zip(
+                params.components(), (model.mu1, model.mu2), (model.lambda1, model.lambda2)):
+            q = (xi - loc) / scale
+            if m.is_es:
+                h0, h1 = mm.upper_moments(q, gauss, nu, 0)
+            else:
+                up0, up1 = mm.upper_moments(q, gauss, nu, p - 1)
+                down0, down1 = mm.upper_moments(-q, gauss, nu, p - 1)
+                c = p * scale ** (p - 1)
+                h0, h1 = c * (ap * up0 - bp * down0), c * (ap * up1 + bp * down1)
+            grad += w * (h1 / scale * (lam @ y) - h0 * mu)
         if m.is_es:
-            # grad ES(y) = E[-X | Z >= VaR] (Tasche 1999); by Euler's theorem
-            # the value is <y, grad ES(y)>.
-            var = mm.var_exact(params, m.alpha)
-            grad = self._euler_sum(y, params, var,
-                                   lambda q, s, gauss, nu: mm._tail_moments(q, gauss, nu, 1))
             grad /= 1.0 - m.alpha
-            return float(y @ grad), grad
-        # Envelope theorem at the minimizing xi*: grad = E[dL/dz(xi*, Z) (-X)].
-        xi, value = self._loss_min(params)
-        return value, self._euler_sum(y, params, xi, self._deviation_moments)
-
-    def outer_gradient(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of g(r(.)), in closed form for every measure."""
-        return self._value_and_gradient(y)[1]
+        return grad
 
     def risk_gradient(self, y: np.ndarray) -> np.ndarray:
         """Gradient of r(.) itself (no outer function, no log term), by the
-        chain rule through g: r = g(r) for expected shortfall, g(r) = r^p for
-        the deviation measures."""
-        value, grad = self._value_and_gradient(y)
-        if self.measure.is_es:
+        chain rule through g(r) = r^p: ``outer_gradient`` / (p r^(p-1)), with
+        p = 1 (g the identity) for expected shortfall."""
+        grad = self.outer_gradient(y)
+        p = 1 if self.measure.is_es else self.measure.p_power
+        if p == 1:
             return grad
-        p = self.measure.p_power
-        return grad / (p * rl.rho_from_expected_loss(self.measure, value) ** (p - 1))
+        return grad / (p * self.risk_value(y) ** (p - 1))
 
 
 def _require_interior(y: np.ndarray) -> np.ndarray:
@@ -289,6 +270,25 @@ class PortfolioReport:
         }
 
 
+def default_y0(model: mm.MixtureModel, m_cap: float) -> np.ndarray:
+    """Inverse-variance start 1/(d sigma_i^2), rescaled into the m ball.
+
+    Falls back to the entropy minimizer e^-1 (1, ..., 1) (or m/d when the
+    ball is smaller) if the model covariance does not exist.
+    """
+    d = model.d
+    try:
+        variances = np.diag(mm.covariance(model))
+        y0 = 1.0 / (d * variances)
+    except mm.NumericsError:
+        level = math.exp(-1.0) if m_cap >= d / math.e else m_cap / d
+        y0 = np.full(d, level)
+    total = y0.sum()
+    if total > m_cap:
+        y0 = y0 * (m_cap / total)
+    return y0
+
+
 def reference_portfolio(ctx: ObjectiveContext, tol: float,
                         max_iterations: int = 100) -> PortfolioReport:
     """Solve for the budget-matching portfolio to a tamed-gradient tolerance.
@@ -303,15 +303,13 @@ def reference_portfolio(ctx: ObjectiveContext, tol: float,
     A non-finite Hessian, a singular one, a direction that does not descend,
     an exhausted line search or the step cap raises ``ConvergenceError``.
     """
-    from . import mirror_descent as md
-
     def failure(reason: str) -> ConvergenceError:
         return ConvergenceError(
             f"reference solve failed after {step} Newton steps: {reason}; "
             f"gradient norm {grad_norm:.3e} > {tol:.3e}", grad_norm=grad_norm)
 
     b = ctx.budget.b
-    y = md.default_y0(ctx.model, 100.0 * ctx.d)
+    y = default_y0(ctx.model, 100.0 * ctx.d)
     value = gamma_value(ctx, y)
     for step in range(max_iterations + 1):
         grad_outer = ctx.outer_gradient(y)

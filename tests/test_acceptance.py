@@ -35,7 +35,7 @@ def mde_of(y, u_ref):
 def fig_runs(es_ctx, bench_reference):
     """DMD runs behind the step-size and rate criteria."""
     gamma_star = rb.gamma_value(es_ctx, bench_reference.y_raw)
-    y0 = md.default_y0(es_ctx.model, 100.0)
+    y0 = rb.default_y0(es_ctx.model, 100.0)
     runs = {}
     for key, schedule, iters in (
         ("const", md.StepSchedule.constant(1.0), 1000),
@@ -87,7 +87,7 @@ def test_reference_benchmark_reproduction(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_smd_desk_scale_accuracy(es_ctx, bench_reference):
-    y0 = md.default_y0(es_ctx.model, 100.0)
+    y0 = rb.default_y0(es_ctx.model, 100.0)
     t0 = time.time()
     weight_estimates = []
     var_estimates = []
@@ -244,7 +244,7 @@ def test_deviation_measures_match_volatility_reference():
         ctx = rb.ObjectiveContext(budget, spec, model)
         cfg = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.65),
                                  iterations=1, epochs=1,
-                                 y0=md.default_y0(model, 100.0),
+                                 y0=rb.default_y0(model, 100.0),
                                  record_every=500_000, tail_fraction=0.2)
         res = md.smd_run(ctx, samples, cfg)
         u = rb.normalize(res.y_tail_avg)

@@ -191,7 +191,7 @@ def test_out_of_range_values_rejected_at_parse(capsys, tmp_path, command, path, 
 @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")],
                          ids=["ValueError", "KeyError"])
 def test_internal_errors_exit_3(capsys, tmp_path, monkeypatch, error):
-    def explode(ctx, tol, max_iterations=100_000):
+    def explode(ctx, tol, max_iterations=100):
         raise error
 
     monkeypatch.setattr(bc.rb, "reference_portfolio", explode)
@@ -319,7 +319,7 @@ def test_cmd_reference_two_asset_inverse_vol(tmp_path):
 
 
 def test_cmd_reference_convergence_exit_code(tmp_path, monkeypatch):
-    def explode(ctx, tol, max_iterations=100_000):
+    def explode(ctx, tol, max_iterations=100):
         raise rb.ConvergenceError("stalled", grad_norm=1.0)
 
     monkeypatch.setattr(bc.rb, "reference_portfolio", explode)
@@ -557,8 +557,12 @@ def test_cmd_compare_outputs(tmp_path):
         assert float(row["gap_k90_median"]) >= 0 or math.isinf(float(row["gap_k90_median"]))
 
 
-def test_cmd_compare_deterministic_and_threaded(tmp_path):
-    cfg_path = write_config(tmp_path, compare_config())
+@pytest.mark.parametrize("measure", [{"kind": "es", "alpha": 0.95}, {"kind": "mad"},
+                                     {"kind": "variantile"}], ids=["es", "mad", "variantile"])
+def test_cmd_compare_deterministic_and_threaded(tmp_path, measure):
+    doc = compare_config()
+    doc["measure"] = measure
+    cfg_path = write_config(tmp_path, doc)
     out1, out2, out3 = tmp_path / "c1", tmp_path / "c2", tmp_path / "c3"
     assert bc.main(["compare", "--config", cfg_path, "--out", str(out1)]) == 0
     assert bc.main(["compare", "--config", cfg_path, "--out", str(out2)]) == 0

@@ -295,6 +295,31 @@ def test_covariance_monte_carlo(bench_model):
 # Expected power loss building block
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("gaussian, nu", [(True, math.nan), (False, 2.6), (False, 3.4),
+                                          (False, 30.0)],
+                         ids=["normal", "t2.6", "t3.4", "t30"])
+def test_upper_moments_match_quadrature(gaussian, nu, k):
+    # (E[(T - q)_+^k], E[T (T - q)_+^k]) against direct integration of the
+    # standardized density, for q deep in either tail and near the centre
+    from scipy.integrate import quad
+    dens = stats.norm.pdf if gaussian else stats.t(nu).pdf
+    for q in (-4.5, -2.5, -0.7, 0.0, 0.4, 1.9, 5.0):
+        m0, m1 = mm.upper_moments(q, gaussian, nu, k)
+        e0, _ = quad(lambda t: (t - q) ** k * dens(t), q, np.inf, epsabs=0.0, limit=300)
+        e1, _ = quad(lambda t: t * (t - q) ** k * dens(t), q, np.inf, epsabs=0.0, limit=300)
+        assert float(m0) == pytest.approx(e0, rel=1e-7)
+        assert float(m1) == pytest.approx(e1, rel=1e-7)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_upper_moments_need_nu_above_k_plus_one(k):
+    for nu in (k + 1.0, k + 0.5):
+        with pytest.raises(mm.NumericsError):
+            mm.upper_moments(0.3, False, nu, k)
+    mm.upper_moments(0.3, True, k + 0.5, k)  # a normal component has every moment
+
+
 def test_expected_power_loss_matches_quadrature():
     from scipy.integrate import quad
     rng = np.random.default_rng(9)

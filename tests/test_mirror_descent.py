@@ -166,25 +166,6 @@ def test_config_rejects_start_outside_ball():
                            iterations=10, y0=np.ones(2), tail_fraction=0.0)
 
 
-def test_default_y0_inverse_variance():
-    lam = np.diag([0.01, 0.04])
-    model = mm.MixtureModel.single_gaussian(np.zeros(2), lam)
-    y0 = md.default_y0(model, m_cap=1000.0)
-    np.testing.assert_allclose(y0, [1.0 / (2 * 0.01), 1.0 / (2 * 0.04)])
-    # rescaled into a small ball, direction preserved
-    y0s = md.default_y0(model, m_cap=10.0)
-    assert y0s.sum() == pytest.approx(10.0)
-    np.testing.assert_allclose(y0s / y0s.sum(), y0 / y0.sum())
-
-
-def test_default_y0_entropy_fallback():
-    model = mm.MixtureModel.single_t(np.zeros(3), np.eye(3), 1.9)  # no covariance
-    y0 = md.default_y0(model, m_cap=100.0)
-    np.testing.assert_allclose(y0, np.full(3, math.exp(-1.0)))
-    y0_small = md.default_y0(model, m_cap=0.5)
-    np.testing.assert_allclose(y0_small, np.full(3, 0.5 / 3.0))
-
-
 # ---------------------------------------------------------------------------
 # Deterministic runs
 # ---------------------------------------------------------------------------
@@ -192,7 +173,7 @@ def test_default_y0_entropy_fallback():
 def test_dmd_feasibility_and_determinism(small_es_setup):
     ctx, _ = small_es_setup
     cfg = md.OptimizerConfig(m_cap=40.0, schedule=md.StepSchedule.constant(1.0),
-                             iterations=120, y0=md.default_y0(ctx.model, 40.0),
+                             iterations=120, y0=rb.default_y0(ctx.model, 40.0),
                              record_every=1)
     res1 = md.dmd_run(ctx, cfg)
     res2 = md.dmd_run(ctx, cfg)
@@ -207,7 +188,7 @@ def test_dmd_feasibility_and_determinism(small_es_setup):
 def test_dmd_gradient_stop(small_es_setup):
     ctx, _ = small_es_setup
     cfg = md.OptimizerConfig(m_cap=300.0, schedule=md.StepSchedule.constant(1.0),
-                             iterations=10 ** 5, y0=md.default_y0(ctx.model, 300.0),
+                             iterations=10 ** 5, y0=rb.default_y0(ctx.model, 300.0),
                              record_every=10 ** 5, grad_tol=1e-9)
     res = md.dmd_run(ctx, cfg)
     assert res.grad_norm <= 1e-9
@@ -219,7 +200,7 @@ def test_dmd_weighted_average_matches_helper(small_es_setup):
     ctx, _ = small_es_setup
     sched = md.StepSchedule.power(1.0, 0.55)
     cfg = md.OptimizerConfig(m_cap=40.0, schedule=sched, iterations=60,
-                             y0=md.default_y0(ctx.model, 40.0),
+                             y0=rb.default_y0(ctx.model, 40.0),
                              record_every=1)
     res = md.dmd_run(ctx, cfg)
     trajectory = [cfg.y0] + [y for _, y in res.y_trace[:-1]]
@@ -236,7 +217,7 @@ def test_dmd_weighted_average_matches_helper(small_es_setup):
 def test_smd_determinism_and_feasibility(small_es_setup):
     ctx, samples = small_es_setup
     cfg = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.75),
-                             iterations=1, epochs=2, y0=md.default_y0(ctx.model, 100.0),
+                             iterations=1, epochs=2, y0=rb.default_y0(ctx.model, 100.0),
                              record_every=500)
     res1 = md.smd_run(ctx, samples, cfg)
     res2 = md.smd_run(ctx, samples, cfg)
@@ -253,11 +234,11 @@ def test_smd_epochs_replay_in_order(small_es_setup):
     ctx, samples = small_es_setup
     short = samples[:1000]
     cfg2 = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.75),
-                              iterations=1, epochs=2, y0=md.default_y0(ctx.model, 100.0),
+                              iterations=1, epochs=2, y0=rb.default_y0(ctx.model, 100.0),
                               record_every=2000)
     doubled = np.vstack([short, short])
     cfg1 = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.75),
-                              iterations=1, epochs=1, y0=md.default_y0(ctx.model, 100.0),
+                              iterations=1, epochs=1, y0=rb.default_y0(ctx.model, 100.0),
                               record_every=2000)
     res_epochs = md.smd_run(ctx, short, cfg2)
     res_concat = md.smd_run(ctx, doubled, cfg1)
@@ -268,7 +249,7 @@ def test_smd_epochs_replay_in_order(small_es_setup):
 def test_smd_xi_tracks_quantile(small_es_setup):
     ctx, samples = small_es_setup
     cfg = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.65),
-                             iterations=1, epochs=10, y0=md.default_y0(ctx.model, 100.0),
+                             iterations=1, epochs=10, y0=rb.default_y0(ctx.model, 100.0),
                              record_every=50000)
     res = md.smd_run(ctx, samples, cfg)
     params = mm.portfolio_loss_params(ctx.model, res.y_final)
@@ -335,7 +316,7 @@ def test_feasibility_across_random_runs():
         ctx = rb.ObjectiveContext(rb.RiskBudget(rng.uniform(0.2, 1.0, d)),
                                   rl.MeasureSpec.expected_shortfall(0.95), model)
         m_cap = float(rng.uniform(5.0, 200.0))
-        y0 = md.default_y0(model, m_cap)
+        y0 = rb.default_y0(model, m_cap)
         cfg = md.OptimizerConfig(m_cap=m_cap,
                                  schedule=md.StepSchedule.power(float(rng.uniform(0.5, 3.0)), 0.65),
                                  iterations=40, epochs=1, y0=y0,
@@ -575,7 +556,7 @@ def test_stochastic_runs_match_plain_oracle_bit_for_bit(rule, measure, d, sched,
     schedule = (md.StepSchedule.power(gamma0, 0.65) if kind == "power"
                 else md.StepSchedule.constant(gamma0))
     cfg = md.OptimizerConfig(m_cap=m_cap, schedule=schedule, iterations=1, epochs=2,
-                             y0=md.default_y0(model, m_cap), record_every=7)
+                             y0=rb.default_y0(model, m_cap), record_every=7)
     with np.errstate(all="ignore"):
         want, hits = _reference_stochastic_run(rule, ctx, samples, cfg)
         if rule == "smd":
@@ -676,7 +657,7 @@ def test_dmd_runs_match_plain_oracle_bit_for_bit(measure, d, gamma0, m_cap, grad
     model = generate_model(d, 40 + d)
     ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d), _MEASURES[measure], model)
     cfg = md.OptimizerConfig(m_cap=m_cap, schedule=md.StepSchedule.constant(gamma0),
-                             iterations=40, y0=md.default_y0(model, m_cap), record_every=7,
+                             iterations=40, y0=rb.default_y0(model, m_cap), record_every=7,
                              grad_tol=grad_tol)
     with np.errstate(all="ignore"):
         want, hits = _reference_dmd_run(ctx, cfg)
