@@ -8,7 +8,9 @@ problem, each with sparse recording (one gap record at the end), so the loop
 body and the once-per-block bookkeeping dominate.  ``test_dense_record_cost``
 runs SMD at d = 3 with a gap record every 100 steps, as a desk-scale ``run``
 does; it also times one record's ``gamma_value`` and reports the step cost
-less the records' share.
+less the records' share.  ``test_prox_cost`` times the entropic prox alone,
+as SMD calls it, at d = 3, 10, 50 and 250, with the l1 cap inactive and
+with it binding.
 ``extra_info["us_per_step"]`` is the median run time divided by the step
 count.  These files sit outside ``tests/`` and are not part of the default
 test run.
@@ -29,6 +31,7 @@ from rbmd.bench_cli import generate_model
 
 N_SAMPLES = 20_000
 N_DMD = 200
+N_PROX = 20_000
 DENSE_RECORD = 100
 
 
@@ -90,3 +93,29 @@ def test_dense_record_cost(benchmark):
     benchmark.extra_info["us_per_step"] = us_per_step
     benchmark.extra_info["us_per_record"] = us_per_record
     benchmark.extra_info["us_per_step_less_records"] = us_per_step - us_per_record / DENSE_RECORD
+
+
+@pytest.mark.parametrize("cap", ["inactive", "binding"])
+@pytest.mark.parametrize("d", [3, 10, 50, 250], ids=lambda d: f"d{d}")
+def test_prox_cost(benchmark, d, cap):
+    """One ``_prox`` call as SMD makes it: exponents within the clamp-free
+    bound, the new point written to a reused buffer.  The ball's radius is ten
+    times the sum of y * exp(e) (cap inactive) or half of it (binding).  Each
+    call first restores the exponents, which ``_prox`` overwrites; that
+    ``np.copyto`` counts in ``us_per_call``."""
+    rng = np.random.default_rng(d)
+    y = rng.uniform(0.5, 1.5, d)
+    e0 = rng.normal(0.0, 0.1, d)
+    m = float((y * np.exp(e0)).sum()) * (10.0 if cap == "inactive" else 0.5)
+    e = np.empty(d)
+    out = np.empty(d)
+
+    def run():
+        for _ in range(N_PROX):
+            np.copyto(e, e0)
+            projected = md._prox(y, e, m, 1.0, out)[1]
+        return projected
+
+    projected = benchmark.pedantic(run, rounds=5, warmup_rounds=1)
+    assert projected == (cap == "binding")
+    benchmark.extra_info["us_per_call"] = median_s(benchmark) / N_PROX * 1e6

@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -490,6 +489,9 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int, threads: int
     tasks = [(config.raw, d, i) for d in config.dimensions
              for i in range(config.replications)]
     if threads > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             nested = list(pool.map(_replication_worker, tasks))
     else:

@@ -28,9 +28,8 @@ _CLAMP = 700.0
 _TINY = 5e-324  # smallest positive double; prox outputs stay strictly positive
 _SGD_FLOOR = 1e-4  # value the SGD baselines reset nonpositive coordinates to
 _BLOCK = 256  # steps between two updates of a run's running sums
-# the reductions ndarray.sum and ndarray.min call, without their Python wrappers
-_sum = np.add.reduce
-_min = np.minimum.reduce
+_NORMAL = 2.0 ** -1022  # smallest normal double
+_sum = np.add.reduce  # the reduction ndarray.sum calls, without its Python wrapper
 
 
 @dataclass(frozen=True)
@@ -138,24 +137,41 @@ def _prox(y: np.ndarray, e: np.ndarray, m: float, bound: float = math.inf, out=N
     min.  The output is always finite and strictly positive: exponents are
     clamped to +-_CLAMP and underflows floored to _TINY.  ``bound`` is an upper
     bound on max|e_i|; at 600 or less (100 below _CLAMP, room for its rounding)
-    the clamp cannot act and is skipped."""
+    the clamp cannot act and is skipped.
+
+    The cap test first screens with the BLAS dot D = y . exp(e), which is
+    cheaper than the pairwise sum s of w = y * exp(e).  Both add d
+    nonnegative products, so in any order, fused or not, each lies within
+    gamma_d = d u / (1 - d u) of the exact sum (u = 2^-53; Higham 2002,
+    sections 3.1 and 4.2), and s <= (1 + 2 d u + O(d^2 u^2)) D.  A product
+    or fused multiply-add that lands below the normal range adds at most
+    2^-1075 more, d 2^-1074 over both sums.  A normal D with
+    D <= m (1 - 4 (d + 1) u) therefore leaves a margin of at least
+    (2 d + 2) u m >= (d + 1) 2^-1074 over both errors: s is finite and at
+    most m, the cap cannot act and s is not taken.  Every other D, inf and
+    NaN included, takes s and the exact path, so a capped step pays the dot
+    on top of the sum.  The min is ``w[argmin]``: the exact minimum, as a
+    reduction gives, but for which zero it returns when +0 and -0 tie; a zero
+    is floored to _TINY either way."""
     if not bound <= 600.0:
         np.maximum(e, -_CLAMP, out=e)
         np.minimum(e, _CLAMP, out=e)
     np.exp(e, out=e)
     w = np.multiply(y, e, out=out)
-    s = float(_sum(w))
-    projected = not s <= m
-    if not math.isfinite(s):
-        # log-domain fallback: only reachable for extreme caps/overflow
-        np.log(y, out=w)
-        w += np.log(e, out=e)
-        w -= w.max()
-        np.exp(w, out=w)
-        w *= m / w.sum()
-    elif projected:
-        w *= m / s
-    ymin = float(_min(w))
+    projected = False
+    if not _NORMAL <= y.dot(e) <= m * (1.0 - (4 * (y.size + 1)) * 2.0 ** -53):
+        s = float(_sum(w))
+        projected = not s <= m
+        if not math.isfinite(s):
+            # log-domain fallback: only reachable for extreme caps/overflow
+            np.log(y, out=w)
+            w += np.log(e, out=e)
+            w -= w.max()
+            np.exp(w, out=w)
+            w *= m / w.sum()
+        elif projected:
+            w *= m / s
+    ymin = w.item(w.argmin())
     if ymin < _TINY:  # an exp or a rescale underflowed to 0
         np.maximum(w, _TINY, out=w)
         ymin = _TINY
@@ -367,6 +383,7 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     y, nxt = run.current
     ng = np.empty_like(y)
     xg = np.empty_like(y)
+    step_a = np.empty(())  # the step as a 0-d array, to scale ng without a conversion
     ymin = run.min_under
     projected = False
     diverged = False
@@ -389,7 +406,8 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
                 ng += np.multiply(x, g_z, out=xg)
             # kappa = min(ymin, 1), NaN kept, without a builtin call
             step = gamma * (1.0 if ymin > 1.0 else ymin) if tamed else gamma
-            ng *= step
+            step_a[()] = step
+            np.multiply(ng, step_a, out=ng)
             if smd:
                 # Since kappa <= y_i and b_i <= 1, |step * ng_i| is at most
                 # gamma + step * |X_i dL/dz|.  That bound needs b/y finite,
@@ -399,10 +417,10 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
                 _, projected, ymin = _prox(y, ng, m, bound, nxt)
             else:
                 np.add(ng, y, out=nxt)
-                ymin = float(_min(nxt))
+                ymin = nxt.item(nxt.argmin())
                 if not ymin > 0.0:
                     nxt[nxt <= 0.0] = _SGD_FLOOR
-                    ymin = float(_min(nxt))
+                    ymin = nxt.item(nxt.argmin())
             y, nxt = run.step(k, gamma, xi, ymin, projected)
         if diverged:
             break

@@ -162,15 +162,18 @@ class ObjectiveContext:
             grad /= 1.0 - m.alpha
         return grad
 
-    def risk_gradient(self, y: np.ndarray) -> np.ndarray:
+    def risk_gradient(self, y: np.ndarray, risk: float | None = None) -> np.ndarray:
         """Gradient of r(.) itself (no outer function, no log term), by the
         chain rule through g(r) = r^p: ``outer_gradient`` / (p r^(p-1)), with
-        p = 1 (g the identity) for expected shortfall."""
+        p = 1 (g the identity) for expected shortfall.  ``risk`` is r(y) when
+        the caller has it; otherwise it is solved for when p > 1."""
         grad = self.outer_gradient(y)
         p = 1 if self.measure.is_es else self.measure.p_power
         if p == 1:
             return grad
-        return grad / (p * self.risk_value(y) ** (p - 1))
+        if risk is None:
+            risk = self.risk_value(y)
+        return grad / (p * risk ** (p - 1))
 
 
 def _require_interior(y: np.ndarray) -> np.ndarray:
@@ -226,8 +229,8 @@ def risk_contributions(ctx: ObjectiveContext, u: np.ndarray):
         raise ValueError("u must be interior to the simplex")
     if abs(u.sum() - 1.0) > 1e-6:
         raise ValueError("u must sum to one")
-    grad = ctx.risk_gradient(u)
-    return u * grad, ctx.risk_value(u)
+    risk = ctx.risk_value(u)
+    return u * ctx.risk_gradient(u, risk), risk
 
 
 def mde(u: np.ndarray, u_ref: np.ndarray) -> float:

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +574,16 @@ def test_cmd_compare_deterministic_and_threaded(tmp_path, measure):
     for name in ("aggregate.csv", "replications.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    """Only ``compare --threads`` above 1 needs the process pool, so importing
+    the CLI module does not load multiprocessing."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bc.__file__).parents[1]))
+    probe = "import sys, rbmd.bench_cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -383,6 +383,54 @@ def test_prox_map_matches_plain_prox(log_y, v, log_m):
     assert got.sum() <= m * (1 + 1e-12)
 
 
+def _doubles_around(s, n):
+    """s and the n doubles on either side of it, in increasing order."""
+    below, above = [s], [s]
+    for _ in range(n):
+        below.append(float(np.nextafter(below[-1], -math.inf)))
+        above.append(float(np.nextafter(above[-1], math.inf)))
+    return below[:0:-1] + above
+
+
+@pytest.mark.parametrize("scale", ["unit", "tiny", "subnormal", "ties", "huge", "overflow"])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 64, 127, 128, 129, 255, 256, 300])
+def test_prox_cap_test_matches_plain_prox_at_the_cap(d, scale):
+    """``_prox`` screens the cap with a BLAS dot before the pairwise sum; it
+    must return the plain prox's point, cap flag and min, bit for bit, for
+    caps m a few doubles either side of the plain sum: d past numpy's
+    8-accumulator blocks, sums near 1e-300 with subnormal products, sums
+    below the normal range, subnormal products that tie halfway (where a
+    fused dot rounds the sum below the pairwise one), sums near the largest
+    double, and exponents the clamp cuts to 700 whose products overflow."""
+    rng = np.random.default_rng(d)
+    for _ in range(6):
+        y = np.exp(rng.normal(0.0, 2.0, d))
+        v = rng.normal(0.0, 1.0, d)
+        if scale == "tiny":
+            y *= 1e-300 / y.sum()
+            y[::3] *= 1e-20
+        elif scale == "subnormal":
+            y *= 1e-318 / y.sum()
+        elif scale == "ties":  # products of 1 and 1.5 times the least subnormal
+            odd = np.arange(d) % 2 == 1
+            y = np.where(odd, 3.0, 1.0) * 2.0 ** -1074
+            v = np.where(odd, math.log(2.0), 0.0)
+        elif scale == "huge":
+            y = y / y.sum() * 2e307
+        elif scale == "overflow":
+            i = rng.integers(d)
+            v[i], y[i] = -5000.0, 1e6
+        with np.errstate(all="ignore"):
+            s = float((y * np.exp(-np.clip(v, -md._CLAMP, md._CLAMP))).sum())
+            caps = _doubles_around(s, 6) if math.isfinite(s) else [1e-3, 1.0, 1e6, 1e300]
+            for m in caps:
+                want, want_projected = _plain_prox(y, v.copy(), m)
+                got, projected, ymin = md._prox(y, -v, m)
+                assert got.tobytes() == want.tobytes(), (m, s)
+                assert projected == want_projected, (m, s)
+                assert np.float64(ymin).tobytes() == want.min().tobytes()
+
+
 def _plain_gap(ctx, y):
     """The gap a run without a reference records: Gamma(y), inf once y left
     the open orthant, nan where the objective cannot be evaluated."""

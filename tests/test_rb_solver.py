@@ -298,6 +298,25 @@ def test_contributions_symmetry(vol_power_ctx):
     assert risk == pytest.approx(math.sqrt(1.0 / 3.0))
 
 
+def test_contributions_solve_xi_star_once_per_evaluation(monkeypatch):
+    """r(u) is evaluated once: one expectile for the value, one for the
+    gradient, and one expected power loss, with the same result bit for bit
+    as ``risk_gradient`` solving r(u) itself."""
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(3), rl.MeasureSpec.volatility(),
+                              make_bench_model())
+    u = rb.reference_portfolio(ctx, tol=1e-8).u
+    want = u * ctx.risk_gradient(u), ctx.risk_value(u)
+    calls = {"expectile": 0, "expected_power_loss": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(mm, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(mm, name, counted)
+    contributions, risk = rb.risk_contributions(ctx, u)
+    assert calls == {"expectile": 2, "expected_power_loss": 1}
+    assert contributions.tobytes() == want[0].tobytes() and risk == want[1]
+
+
 def test_contributions_euler_identity(es_ctx):
     rng = np.random.default_rng(4)
     for _ in range(10):
