@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 
 __all__ = [
     "ModelError",
@@ -34,7 +33,9 @@ __all__ = [
 # given (model, n, seed) are identical no matter the available memory.
 _CHUNK_BUDGET = 2_097_152
 
-_DENS_FLOOR = 1e-300
+# The least positive float: a Newton step over a density that underflowed to 0
+# is infinite, so the quantile solve bisects instead of dividing by zero.
+_DENS_FLOOR = 5e-324
 
 
 class ModelError(ValueError):
@@ -242,59 +243,199 @@ def sample_returns(model: MixtureModel, n: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Univariate t / normal building blocks (all vectorized over the quantile)
+# Univariate t / normal building blocks (scalar kernels on Python floats)
 # ---------------------------------------------------------------------------
+#
+# For t >= 0 the standard t tail is P(T > t) = I_x(a, 1/2) / 2, with a = nu / 2,
+# x = nu / (nu + t^2) and I the regularized incomplete beta function.  I_x(a, 1/2)
+# is the continued fraction of Press et al. (Numerical Recipes, 6.4, modified
+# Lentz) times the prefactor x^a (1 - x)^(1/2) / B(a, 1/2): taken directly below
+# the switch point x = (a + 1) / (a + 5/2), and as 1 - I_{1-x}(1/2, a) above it.
+# Between x = 0.7 and the switch point with a > 15, the direct fraction's leading
+# terms cancel, and the asymptotic expansion of DiDonato and Morris (1992, ACM
+# TOMS 708, BGRAT) is used instead.  x^a comes from exp(-a log1p(t^2 / nu)) while x >= 1/2 and from
+# pow(x, a) below, whichever rounds the less.
 
-_T_LOGNORM_CACHE: dict = {}
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+
+# B_2k / (2k (2k - 1)) for k = 1..8: the Stirling series of ln Gamma
+_STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), 1))
 
 
-def _t_lognorm(nu: float) -> float:
-    c = _T_LOGNORM_CACHE.get(nu)
+def _stirling_rest(z: float) -> float:
+    """ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2), for z >= 10."""
+    zi = 1.0 / z
+    zi2 = zi * zi
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s * zi2 + c
+    return s * zi
+
+
+def _log_gamma_half_ratio(a: float) -> float:
+    """ln Gamma(a + 1/2) - ln Gamma(a).  Above a = 10 the Stirling series of the
+    two terms is subtracted in closed form: an lgamma difference would lose 3e-9
+    of relative accuracy at a = 5e5 and 5e-6 at a = 5e8."""
+    if a < 10.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    return (0.5 * math.log(a) + (a * math.log1p(0.5 / a) - 0.5)
+            + (_stirling_rest(a + 0.5) - _stirling_rest(a)))
+
+
+def _bgrat_coefficients() -> tuple:
+    """The first 30 d_n of BGRAT for b = 1/2 (they depend on b alone)."""
+    c, d = [], []
+    for n in range(1, 31):
+        c.append((c[-1] if c else 1.0) / (2 * n * (2 * n + 1)))
+        s = sum((0.5 * i - n) * c[i - 1] * d[n - i - 1] for i in range(1, n))
+        d.append(-0.5 * c[-1] + s / n)
+    return tuple(d)
+
+
+_BGRAT_D = _bgrat_coefficients()
+
+_T_CONSTS_CACHE: dict = {}
+
+
+def _t_consts(nu: float) -> tuple:
+    """(1 / B(nu/2, 1/2), ln of the t density's normalizing constant), memoized per nu."""
+    c = _T_CONSTS_CACHE.get(nu)
     if c is None:
-        c = gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
-        _T_LOGNORM_CACHE[nu] = c
+        log_ib = _log_gamma_half_ratio(0.5 * nu) - _LOG_SQRT_PI
+        c = _T_CONSTS_CACHE[nu] = (math.exp(log_ib), log_ib - 0.5 * math.log(nu))
     return c
 
 
-def _t_pdf(x, nu: float):
-    return np.exp(_t_lognorm(nu) - 0.5 * (nu + 1.0) * np.log1p(np.asarray(x) ** 2 / nu))
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """I_x(a, b) over its prefactor x^a (1 - x)^b / (a B(a, b)), by the continued
+    fraction; it converges fast for x below (a + 1) / (a + b + 2)."""
+    ab = a + b
+    c = 1.0
+    d = 1.0 / (1.0 - ab * x / (a + 1.0))
+    h = d
+    for m in range(1, 300):
+        p = a + (m + m)
+        aa = m * (b - m) * x / ((p - 1.0) * p)
+        d = 1.0 / (1.0 + aa * d)
+        c = 1.0 + aa / c
+        h *= d * c
+        aa = -(a + m) * (ab + m) * x / (p * (p + 1.0))
+        d = 1.0 / (1.0 + aa * d)
+        c = 1.0 + aa / c
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= 1e-16:
+            break
+    return h
 
-def _t_sf(x, nu: float):
-    return stdtr(nu, -np.asarray(x))
 
-def _norm_pdf(x):
-    return np.exp(-0.5 * np.asarray(x) ** 2) / math.sqrt(2.0 * math.pi)
+def _bgrat(a: float, log1p_r: float, inv_beta: float) -> float:
+    """I_x(a, 1/2) for a > 15 and x > 0.7, with -ln x = log1p_r and inv_beta =
+    1 / B(a, 1/2): BGRAT's expansion in the incomplete gamma Q(1/2, z) =
+    erfc(sqrt(z)), z = (a - 1/4)(-ln x), with its terms scaled by
+    e^-z z^(1/2) / Gamma(1/2) so that none is divided by it."""
+    nu_ = a - 0.25
+    z = nu_ * log1p_r
+    j = math.erfc(math.sqrt(z))
+    total = j
+    scaled = math.exp(-z) * math.sqrt(z / math.pi)
+    v = 0.25 / (nu_ * nu_)
+    t2 = 0.25 * log1p_r * log1p_r
+    bp = 0.5
+    for dn in _BGRAT_D:
+        j = (bp * (bp + 1.0) * j + (z + bp + 1.0) * scaled) * v
+        bp += 2.0
+        scaled *= t2
+        term = dn * j
+        total += term
+        if abs(term) <= 1e-16 * total:
+            break
+    return inv_beta * math.sqrt(math.pi / nu_) * total
 
-def _norm_sf(x):
-    return ndtr(-np.asarray(x))
+
+def _t_sf(t: float, nu: float) -> float:
+    """P(T > t) for the standard t law: exactly 1/2 at t = 0, 0 and 1 at t = +-inf,
+    NaN for NaN."""
+    if t == 0.0:
+        return 0.5
+    if not abs(t) < math.inf:
+        return t if t != t else (0.0 if t > 0.0 else 1.0)
+    a = 0.5 * nu
+    inv_beta = _t_consts(nu)[0]
+    t2 = t * t
+    r = t2 / nu
+    s = nu + t2
+    x, y = nu / s, t2 / s
+    if r <= 1.0:
+        xa = math.exp(-a * math.log1p(r))
+    elif s < math.inf:
+        xa = x ** a
+    else:  # t^2 overflows
+        xa, y = math.exp(a * (math.log(nu) - 2.0 * math.log(abs(t)))), 1.0
+    prefactor = xa * math.sqrt(y) * inv_beta
+    if r * (a + 1.0) <= 1.5:  # x at or above the switch point
+        tail = 0.5 - prefactor * _beta_cf(0.5, a, y)
+    elif a > 15.0 and r < 3.0 / 7.0:  # x > 0.7
+        tail = 0.5 * _bgrat(a, math.log1p(r), inv_beta)
+    else:
+        tail = 0.5 * prefactor * _beta_cf(a, 0.5, x) / a
+    return tail if t > 0.0 else 1.0 - tail
 
 
-def _t_tail_ex1(q, nu: float):
-    """E[T 1{T > q}] for standard t; finite for nu > 1."""
-    return _t_pdf(q, nu) * (nu + np.asarray(q) ** 2) / (nu - 1.0)
+def _t_pdf(t: float, nu: float) -> float:
+    return math.exp(_t_consts(nu)[1] - 0.5 * (nu + 1.0) * math.log1p(t * t / nu))
 
 
-def _t_tail_ex2(q, nu: float):
+def _norm_sf(z: float) -> float:
+    return 0.5 * math.erfc(z * _SQRT1_2)
+
+
+def _norm_pdf(z: float) -> float:
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _t_tail_ex1(q: float, nu: float) -> float:
+    """E[T 1{T > q}] = nu / (nu - 1) f(q) (1 + q^2 / nu) for standard t; finite for nu > 1."""
+    return nu / (nu - 1.0) * math.exp(_t_consts(nu)[1] - 0.5 * (nu - 1.0) * math.log1p(q * q / nu))
+
+
+def _t_tail_ex2(q: float, nu: float) -> float:
     """E[T^2 1{T > q}] for standard t; finite for nu > 2."""
-    q = np.asarray(q)
     shrink = math.sqrt((nu - 2.0) / nu)
     return nu * ((nu - 1.0) / (nu - 2.0) * _t_sf(q * shrink, nu - 2.0) - _t_sf(q, nu))
 
 
-def upper_moments(q, gaussian: bool, nu: float, k: int):
-    """(E[(T - q)_+^k], E[T (T - q)_+^k]) of the standardized component T for
-    k in {0, 1}, with (T - q)_+^0 = 1{T > q}; a t component needs nu > k + 1."""
-    q = np.asarray(q, dtype=float)
+def _map_floats(fn, x) -> np.ndarray:
+    """``fn`` applied to each element of the array ``x`` as a Python float; the
+    results keep the shape of ``x`` (a tuple result adds a last axis)."""
+    x = np.asarray(x, dtype=float)
+    out = np.array([fn(v) for v in x.ravel().tolist()], dtype=float)
+    return out.reshape(x.shape + out.shape[1:])
+
+
+def _upper_moments(q: float, gaussian: bool, nu: float, k: int) -> tuple:
     if gaussian:
         sf, ex1 = _norm_sf(q), _norm_pdf(q)
-    elif nu <= k + 1:
-        raise NumericsError(f"tail moment of order {k + 1} needs nu > {k + 1}, got {nu}")
     else:
         sf, ex1 = _t_sf(q, nu), _t_tail_ex1(q, nu)
     if k == 0:
         return sf, ex1
     ex2 = q * ex1 + sf if gaussian else _t_tail_ex2(q, nu)
     return ex1 - q * sf, ex2 - q * ex1
+
+
+def upper_moments(q, gaussian: bool, nu: float, k: int):
+    """(E[(T - q)_+^k], E[T (T - q)_+^k]) of the standardized component T for
+    k in {0, 1}, with (T - q)_+^0 = 1{T > q}; a t component needs nu > k + 1.
+    Floats, or arrays of the shape of ``q``."""
+    if not gaussian and nu <= k + 1:
+        raise NumericsError(f"tail moment of order {k + 1} needs nu > {k + 1}, got {nu}")
+    if isinstance(q, float) or np.ndim(q) == 0:
+        return _upper_moments(float(q), gaussian, nu, k)
+    m = _map_floats(lambda v: _upper_moments(v, gaussian, nu, k), q)
+    return m[..., 0], m[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -321,23 +462,68 @@ def portfolio_loss_params(model: MixtureModel, w: np.ndarray) -> LossLawParams:
     )
 
 
-def _mixture_eval(x, p: LossLawParams, density: bool = False):
-    """CDF of the loss mixture at x, or its density when ``density`` is set:
-    one ndtr / stdtr (normal / t pdf) call per component, summed w1 c1 + w2 c2."""
+def _mixture_eval(x: float, comps, density: bool = False) -> float:
+    """CDF at x of the location-scale mixture ``comps`` (as listed by
+    ``LossLawParams.components``), or its density when ``density`` is set."""
     total = 0.0
-    for w, loc, scale, gauss, nu in p.components():
+    for w, loc, scale, gauss, nu in comps:
         z = (x - loc) / scale
         if density:
             total += w * ((_norm_pdf(z) if gauss else _t_pdf(z, nu)) / scale)
         else:
-            total += w * (ndtr(z) if gauss else stdtr(nu, z))
+            total += w * (_norm_sf(-z) if gauss else _t_sf(-z, nu))
     return total
 
 
-def mixture_cdf(params: LossLawParams, x) -> float:
-    """CDF of the loss mixture at x (scalar or array)."""
-    out = _mixture_eval(np.asarray(x, dtype=float), params)
-    return float(out) if np.ndim(x) == 0 else out
+def mixture_cdf(params: LossLawParams, x):
+    """CDF of the loss mixture at x: a float, or an array of the shape of x."""
+    comps = params.components()
+    if np.ndim(x) == 0:
+        return _mixture_eval(float(x), comps)
+    return _map_floats(lambda v: _mixture_eval(v, comps), x)
+
+
+def _newton_quantile(comps, alpha: float, lo: float, hi: float, q: float, tol: float) -> float:
+    """Root of cdf(q) = alpha in [lo, hi] for the mixture ``comps``, by Newton
+    from q.  A step that would leave the bracket is replaced by bisection, and
+    the loop stops at |cdf(q) - alpha| <= tol, which a NaN never satisfies."""
+    for _ in range(100):
+        f = _mixture_eval(q, comps) - alpha
+        if abs(f) <= tol:
+            return q
+        if f > 0.0:
+            hi = q
+        else:
+            lo = q
+        step = q - f / max(_mixture_eval(q, comps, density=True), _DENS_FLOOR)
+        q = step if lo < step < hi else 0.5 * (lo + hi)
+    raise NumericsError(f"quantile Newton missed |cdf - alpha| <= {tol:.3g} at alpha = {alpha} "
+                        "after 100 steps")
+
+
+_STD_QUANTILE_CACHE: dict = {}
+
+
+def _std_quantile(gauss: bool, nu: float, alpha: float) -> float:
+    """Alpha-quantile of a standardized component, memoized per (gauss, nu, alpha).
+    The law is symmetric: this is q, or -q for alpha > 1/2, where q is the
+    quantile of tail = min(alpha, 1 - alpha).  Doubling from -1 brackets q in
+    [-2^k, -2^(k-1)] or [-1, 0], and ``_newton_quantile`` solves it to
+    |cdf(q) - tail| <= 1e-13 tail, so that deep quantiles keep their relative
+    accuracy too.  Below tail = e^-100 the bound is 1e-15 |ln tail| tail
+    instead: a tail exp(-E) carries the rounding of E, about |ln tail| ulps."""
+    key = (gauss, nu, alpha)
+    q = _STD_QUANTILE_CACHE.get(key)
+    if q is None:
+        comps = [(1.0, 0.0, 1.0, gauss, nu)]
+        tail = min(alpha, 1.0 - alpha)
+        lo, hi = -1.0, 0.0
+        while _mixture_eval(lo, comps) > tail:
+            lo, hi = 2.0 * lo, lo
+        tol = max(1e-13, -1e-15 * math.log(tail)) * tail
+        q = _newton_quantile(comps, tail, lo, hi, 0.5 * (lo + hi), tol)
+        q = _STD_QUANTILE_CACHE[key] = q if alpha <= 0.5 else -q
+    return q
 
 
 def _quantile(p: LossLawParams, alpha: float) -> float:
@@ -345,29 +531,14 @@ def _quantile(p: LossLawParams, alpha: float) -> float:
 
     The mixture CDF is a weighted mean of the component CDFs, so its
     alpha-quantile lies between the component quantiles; padded by a relative
-    margin for stdtrit / ndtri rounding, they bracket it.  Newton starts from
-    their weight average, a step that would leave the bracket is replaced by
-    bisection, and the loop stops at |cdf(q) - alpha| <= 1e-12, which a NaN
-    never satisfies."""
-    comps = [(w, loc + scale * float(ndtri(alpha) if gauss else stdtrit(nu, alpha)), scale)
-             for w, loc, scale, gauss, nu in p.components()]
-    lo = min(qc for _, qc, _ in comps)
-    hi = max(qc for _, qc, _ in comps)
-    pad = 1e-8 * (max(abs(lo), abs(hi)) + max(scale for _, _, scale in comps))
-    lo, hi = lo - pad, hi + pad
-    q = sum(w * qc for w, qc, _ in comps)
-    for _ in range(100):
-        f = float(_mixture_eval(q, p)) - alpha
-        if abs(f) <= 1e-12:
-            return q
-        if f > 0.0:
-            hi = q
-        else:
-            lo = q
-        step = q - f / max(float(_mixture_eval(q, p, density=True)), _DENS_FLOOR)
-        q = step if lo < step < hi else 0.5 * (lo + hi)
-    raise NumericsError(f"quantile Newton missed |cdf - alpha| <= 1e-12 at alpha = {alpha} "
-                        "after 100 steps")
+    margin for their rounding, they bracket it.  Newton starts from their
+    weight average and stops at |cdf(q) - alpha| <= 1e-12."""
+    comps = p.components()
+    qs = [loc + scale * _std_quantile(gauss, nu, alpha) for _, loc, scale, gauss, nu in comps]
+    lo, hi = min(qs), max(qs)
+    pad = 1e-8 * (max(abs(lo), abs(hi)) + max(c[2] for c in comps))
+    q = sum(c[0] * qc for c, qc in zip(comps, qs))
+    return _newton_quantile(comps, alpha, lo - pad, hi + pad, q, 1e-12)
 
 
 def var_exact(params: LossLawParams, alpha: float) -> float:

@@ -586,6 +586,23 @@ def test_cli_import_leaves_multiprocessing_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_runs_on_numpy_alone(tmp_path):
+    """The package needs scipy only for its tests: neither importing the CLI nor
+    solving the README three-asset ES reference loads a scipy module."""
+    cfg = write_config(tmp_path, {"model": {"inline": bench_model_dict()},
+                                  "measure": {"kind": "es", "alpha": 0.95},
+                                  "tolerance": 1e-10, "seed": 1})
+    argv = ["reference", "--config", cfg, "--out", str(tmp_path / "ref")]
+    env = dict(os.environ, PYTHONPATH=str(Path(bc.__file__).parents[1]))
+    probe = ("import sys, rbmd.bench_cli as bc; "
+             f"code = bc.main({argv!r}); "
+             "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    assert (tmp_path / "ref" / "reference.json").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cmd_compare_overflowed_sgd_reads_blown_up(tmp_path):
     # gamma0 = 1e300 overflows the classical SGD iterate; its loss law then has

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +122,88 @@ def test_zero_portfolio_rejected(bench_model):
         mm.portfolio_loss_params(bench_model, np.zeros(3))
     with pytest.raises(ValueError):
         mm.portfolio_loss_params(bench_model, np.array([1.0, np.nan, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Univariate t / normal kernels against scipy.special
+# ---------------------------------------------------------------------------
+
+EPS = sys.float_info.epsilon
+
+
+def tail_tolerance(tail: float) -> float:
+    """Relative error allowed between two double-precision evaluations of a tail
+    P = exp(-E): 1e-13, or 3 eps |ln P| where that is larger (below P = 1e-65),
+    since each evaluation carries the rounding of E, about |E| eps."""
+    return max(1e-13, 3.0 * EPS * abs(math.log(tail)))
+
+
+def assert_matches_oracle(cdf, oracle_cdf, points):
+    """|cdf - oracle| <= 1e-14 at +-x, and the smaller tail (oracle_cdf(-x) for
+    x >= 0) within ``tail_tolerance`` of the oracle's where it is at least 1e-300
+    and within 1e-300 below, at every x in ``points``."""
+    for x in points:
+        for v in (x, -x):
+            assert abs(cdf(v) - oracle_cdf(v)) <= 1e-14, v
+        tail, ref = cdf(-x), float(oracle_cdf(-x))
+        if ref >= 1e-300:
+            assert abs(tail - ref) <= tail_tolerance(ref) * ref, (x, tail, ref)
+        else:
+            assert abs(tail - ref) <= 1e-300, (x, tail, ref)
+
+
+@pytest.mark.parametrize("nu", np.geomspace(1.0001, 1e9, 61).tolist(), ids="nu{:.4g}".format)
+def test_t_cdf_matches_scipy(nu):
+    from scipy.special import stdtr
+    points = [0.0] + np.geomspace(1e-8, 1e8, 97).tolist()
+    assert_matches_oracle(lambda t: mm._t_sf(-t, nu), lambda t: stdtr(nu, t), points)
+
+
+def test_normal_cdf_matches_scipy():
+    from scipy.special import ndtr
+    points = [0.0] + np.geomspace(1e-8, 38.0, 400).tolist()
+    assert_matches_oracle(lambda z: mm._norm_sf(-z), ndtr, points)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["t", "normal"])
+@pytest.mark.parametrize("nu", [1.0001, 3.4, 40.0, 1e9])
+def test_kernel_edge_values(gaussian, nu):
+    # t = 0 is exactly the median, +-inf the limits, and NaN stays NaN: the VaR
+    # Newton relies on a NaN never passing |F - alpha| <= tol
+    sf = mm._norm_sf if gaussian else lambda t: mm._t_sf(t, nu)
+    pdf = mm._norm_pdf if gaussian else lambda t: mm._t_pdf(t, nu)
+    assert sf(0.0) == sf(-0.0) == 0.5
+    assert sf(math.inf) == 0.0 and sf(-math.inf) == 1.0
+    assert pdf(math.inf) == pdf(-math.inf) == 0.0
+    assert math.isnan(sf(math.nan)) and math.isnan(pdf(math.nan))
+    assert all(math.isnan(m) for m in mm.upper_moments(math.nan, gaussian, nu, 0))
+    # no ValueError / OverflowError from math.log or math.exp at extreme finite points
+    extremes = [5e-324, 1e-310, 1e-160, 1e-8, 1e150, 1e154, 1e160, 1e300, sys.float_info.max]
+    for t in extremes + [-t for t in extremes]:
+        assert 0.0 <= sf(t) <= 1.0 and 0.0 <= pdf(t) < math.inf
+        for m in mm.upper_moments(t, gaussian, nu, 0):
+            assert not math.isnan(m)
+    for alpha in (1e-300, 1e-16, 0.5, 1.0 - 1e-16):
+        q = mm._std_quantile(gaussian, nu, alpha)
+        tail = sf(abs(q))
+        assert abs(tail - min(alpha, 1.0 - alpha)) <= 1e-12 * min(alpha, 1.0 - alpha)
+
+
+def test_var_of_a_nan_law_is_a_numerics_error():
+    p = mm.LossLawParams(1.0, 0.0, 0.0, 1.0, 1.0, math.nan, math.nan)
+    assert math.isnan(mm.mixture_cdf(p, 0.3))
+    with pytest.raises(mm.NumericsError):
+        mm.var_exact(p, 0.95)
+
+
+@settings(max_examples=300)
+@given(gaussian=st.booleans(), log_nu=st.floats(math.log10(1.0001), 9.0),
+       alpha=st.floats(1e-7, 1.0 - 1e-7))
+def test_component_quantile_roundtrip(gaussian, log_nu, alpha):
+    nu = 10.0 ** log_nu
+    q = mm._std_quantile(gaussian, nu, alpha)
+    cdf = mm._norm_sf(-q) if gaussian else mm._t_sf(-q, nu)
+    assert abs(cdf - alpha) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
