@@ -65,7 +65,7 @@ def generate_model(d: int, seed: int) -> mm.MixtureModel:
     """
     if d < 2:
         raise ConfigError(f"synthetic model dimension must be >= 2, got {d}")
-    rng = np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
+    rng = mm._rng(seed)
     vols1 = np.exp(rng.uniform(math.log(0.005), math.log(0.05), d))
 
     def corr() -> np.ndarray:

@@ -206,8 +206,9 @@ class LossLawParams:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter based, so streams are stable and cheap to derive.
+def _rng(seed: int) -> "np.random.Generator":
+    # Philox is counter based, so streams are stable and cheap to derive.  The
+    # annotation is quoted: numpy.random loads on the first draw, not on import.
     return np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
 
 

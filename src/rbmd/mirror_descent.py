@@ -195,17 +195,21 @@ class _Run:
     """Bookkeeping of one run for every runner, which keeps only its update
     rule, and the one RunResult builder.
 
-    The iterates live in a block of ``_BLOCK + 1`` rows: row 0 holds the
-    iterate the block starts from, and the runner writes the block's step j
-    straight into row j (the second view of ``current``).  ``step`` books a
-    step in scalars only: gamma, the step sum, min y, the capped steps and the
-    xi tail sum.  ``flush`` keeps the gamma-weighted sum of the iterates steps
-    start from and the tail sum of the iterates from step ``tail_start`` on,
-    on a record, on a full block and at the end.  It reduces each sum over the
-    block with the running sum in its first row; an axis-0 reduction of a
-    C-contiguous array adds the rows in order, so the sums equal per-step
-    ``+=`` updates bit for bit.  A record falls every ``record_every`` steps
-    and at step ``total``.  xi is None for DMD."""
+    The iterates live in a block of ``_BLOCK + 1`` row views ``rows``: row 0
+    holds the iterate the block starts from, and the runner writes the
+    block's step j straight into row j and its step size into
+    ``gammas[j - 1]``.  Between flushes the runner keeps the block's step
+    count n, the step sum and the xi tail sum as locals, each a sequential
+    scalar sum; it hands them over only at ``flush``, on a record, on a full
+    block and at the end.  ``flush`` keeps the gamma-weighted sum of the
+    iterates steps start from, the tail sum of the iterates from step
+    ``tail_start`` on and the least coordinate of the block's iterates.  It
+    reduces each sum over the block with the running sum in its first row; an
+    axis-0 reduction of a C-contiguous array adds the rows in order, so the
+    sums equal per-step ``+=`` updates bit for bit.  The least coordinate
+    skips an iterate with a NaN coordinate, as a per-step ``<`` test on its
+    min would.  A record falls every ``record_every`` steps and at step
+    ``total``; ``record`` returns the next one.  xi is None for DMD."""
 
     def __init__(self, ctx, cfg: OptimizerConfig, total: int, gamma_star, y0):
         self.ctx = ctx
@@ -218,8 +222,7 @@ class _Run:
         self.rows = list(self.block)  # row views made once, not per step
         self.addends = np.empty_like(self.block)
         self.gammas = np.empty(_BLOCK)
-        self.n = 0  # steps in the block
-        self.k0 = 0  # steps before it
+        self.k0 = 0  # steps before the block
         self.wacc = np.zeros_like(y0)
         self.wsum = 0.0
         self.tail_acc = np.zeros_like(y0)
@@ -232,36 +235,11 @@ class _Run:
         self.xi_trace = []
         self.projection_iters = []
 
-    @property
-    def current(self):
-        """The iterate the next step starts from and the row it writes to."""
-        return self.rows[self.n], self.rows[self.n + 1]
-
-    def step(self, k: int, gamma: float, xi, ymin: float, projected: bool):
-        """Book step k, which wrote its iterate (least coordinate ``ymin``)
-        to the row ``current`` handed out, with step size gamma; returns the
-        new ``current``."""
-        n = self.n
-        self.gammas[n] = gamma
-        self.n = n = n + 1
-        self.wsum += gamma
-        if projected:
-            self.projection_iters.append(k)
-        if ymin < self.min_under:
-            self.min_under = ymin
-        if xi is not None and k >= self.tail_start:
-            self.xi_tail += xi
-        if k % self.record_every == 0 or k == self.total:
-            self.record(k, xi)
-        elif n == _BLOCK:
-            self.flush()
-        n = self.n
-        return self.rows[n], self.rows[n + 1]
-
-    def flush(self):
-        """Add the block's steps to the weighted and tail sums and start a new
-        block from its last iterate."""
-        n = self.n
+    def flush(self, n: int, wsum: float, xi_tail: float = 0.0):
+        """Book the block's n steps, with the step sum and xi tail sum over
+        the whole run so far, and start a new block from its last iterate."""
+        self.wsum = wsum
+        self.xi_tail = xi_tail
         if n == 0:
             return
         block, acc = self.block, self.addends
@@ -274,12 +252,15 @@ class _Run:
             acc[first:n + 1] = block[first:n + 1]
             np.add.reduce(acc[first - 1:n + 1], axis=0, out=self.tail_acc)
             self.tail_n += n + 1 - first
+        least = float(np.fmin.reduce(np.minimum.reduce(block[1:n + 1], axis=1)))
+        if least < self.min_under:
+            self.min_under = least
         block[0] = block[n]
         self.k0 += n
-        self.n = 0
 
-    def record(self, k: int, xi):
-        self.flush()
+    def record(self, k: int, xi=None) -> int:
+        """Record at step k, from the iterate in row 0 (flush first); returns
+        the step of the next record."""
         y = self.rows[0]
         try:
             gap = rb.gamma_value(self.ctx, y) - self.base
@@ -293,15 +274,15 @@ class _Run:
             self.avg_trace.append((k, self.wacc / self.wsum))
         if xi is not None:
             self.xi_trace.append((k, xi))
+        return min(k + self.record_every, self.total)
 
     def result(self, xi, diverged: bool, iterations: int,
                grad_norm: float = math.nan) -> RunResult:
-        """The trace ends at the returned iterate, the last one booked: a run
-        that stopped early (DMD on ``grad_tol``) records it at step
-        ``iterations``.  A run whose last record reads +inf (its loss law
+        """The trace ends at the returned iterate, the last one booked (flush
+        first): a run that stopped early (DMD on ``grad_tol``) records it at
+        step ``iterations``.  A run whose last record reads +inf (its loss law
         overflowed) is diverged, and a diverged run's trace ends with one
         ``(iterations, inf)``."""
-        self.flush()
         y = self.rows[0].copy()
         trace = self.gap_trace
         if not diverged and (not trace or trace[-1][0] != iterations):
@@ -331,7 +312,10 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
     early once the tamed gradient sup-norm falls below ``cfg.grad_tol``.
     """
     run = _Run(ctx, cfg, cfg.iterations, gamma_star, cfg.y0)
-    y, nxt = run.current
+    rows, gammas, full = run.rows, run.gammas, _BLOCK
+    record_at = min(cfg.record_every, cfg.iterations)
+    n, wsum = 0, 0.0
+    y = rows[0]
     diverged = False
     grad_norm = math.inf
     done = 0
@@ -344,12 +328,23 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
         grad_norm = float(np.abs(tg).max())
         if cfg.grad_tol is not None and grad_norm <= cfg.grad_tol:
             break
-        _, projected, ymin = _prox(y, tg * -gamma, cfg.m_cap, gamma * grad_norm, nxt)
-        y, nxt = run.step(k, gamma, None, ymin, projected)
+        y, projected, _ = _prox(y, tg * -gamma, cfg.m_cap, gamma * grad_norm, rows[n + 1])
+        gammas[n] = gamma
+        n += 1
+        wsum += gamma
+        if projected:
+            run.projection_iters.append(k)
         done = k
+        if k == record_at or n == full:
+            run.flush(n, wsum)
+            if k == record_at:
+                record_at = run.record(k)
+            n = 0
+            y = rows[0]
     else:
         tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
         grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
+    run.flush(n, wsum)
     return run.result(None, diverged, done, grad_norm)
 
 
@@ -359,13 +354,41 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     "classical").
 
     Every rule builds ng = -grad_y = b/y + X dL/dz in one reused buffer and
-    steps along step * ng, with step = gamma * kappa(y) (gamma for
-    "classical").  SMD takes the entropic prox ``_prox(y, step * ng)``; the
-    SGD baselines take y + step * ng and reset nonpositive coordinates to
-    ``_SGD_FLOOR``.  Either writes the new iterate straight into the run's
-    next block row, so a step books only scalars and ``_Run.flush`` keeps the
-    averages once per block.  min(y) is taken once per step and serves the
-    record of min y, the next kappa and the floor test.
+    steps along step * ng, with step = gamma * kappa, kappa = min(min y, 1)
+    (gamma for "classical").  SMD takes the entropic prox
+    ``_prox(y, step * ng)``; the SGD baselines take y + step * ng and reset
+    nonpositive coordinates to ``_SGD_FLOOR``.  Either writes the new iterate
+    straight into the run's next block row.  The step sizes, the step count
+    and the step and xi tail sums stay in locals until ``_Run.flush``.
+
+    Most steps take neither the sum nor the min of y.  The loop carries two
+    bounds, up >= sum y and low <= min y, both reset from the first row of
+    each new block, and certifies on them:
+
+    * kappa = min(low, 1): below 1, low is the exact min (for "classical",
+      which takes no kappa, only below 1e-300).  A step whose new bound
+      would fall below that takes the min of its new point.
+    * SMD: since kappa <= y_i and b_i <= 1, every exponent |step * ng_i| is
+      at most bound = gamma + step |dL/dz| x_max, once b/y is finite
+      (low >= 1e-300; for a subnormal y_i, b_i / y_i is inf).  With
+      u = 2^-53 the computed exponents lie within bound (1 + 7 u).  For
+      bound <= 600 each y_i exp(e_i) then lies within a relative 4400 u of
+      [y_i e^-bound, y_i e^bound] while it is normal: 4200 u for the
+      exponent's rounding, 128 u for an exp within 64 ulp and u for the
+      product.  The slack s = 1 + (d + 8192) 2^-52 covers that, the
+      rounding of up' = up e^bound s and low' = low / (e^bound s), and the
+      pairwise sum of y that up is taken from (within d u).  If
+      low' >= 2^-1022 (every product normal) and up' <= m (1 - 4 (d + 1) u),
+      the margin of ``_prox``'s dot screen, the pairwise sum of the new
+      point is at most m.  Then neither the cap, the clamp nor the floor can
+      act, and exp and a multiply give ``_prox``'s point bit for bit.  A
+      step that fails on up first retakes it from sum y.  If it fails
+      again, y sits near the cap, and the next retake waits 1, 2, 4, ...
+      steps, until a retake certifies or a block starts.  Every other step
+      calls ``_prox``, takes low from its exact min and leaves up inf.
+    * SGD: a step with dL/dz = 0 and low >= 1e-300 adds a finite,
+      nonnegative step to y, so it keeps low ("tamed" only while low >= 1).
+      Every other step takes the exact min, which is also its floor test.
     """
     samples = np.ascontiguousarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] == 0:
@@ -374,18 +397,28 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
         raise ValueError("sample dimension does not match the model")
     grads = rl.make_gradient_fn(ctx.measure)
     b = ctx.budget.b
+    d = ctx.d
     m = cfg.m_cap
     smd = rule == "smd"
     tamed = rule != "classical"
     x_max = max(float(samples.max()), -float(samples.min()))  # bounds every |X_i|
+    cap = m * (1.0 - (4 * (d + 1)) * 2.0 ** -53)
+    slack = 1.0 + (d + 8192) * 2.0 ** -52
+    exp = math.exp
+    keep = 1.0 if tamed else 1e-300  # least low an SGD step with dL/dz = 0 keeps
     xi = float(cfg.xi0)
-    run = _Run(ctx, cfg, cfg.epochs * samples.shape[0], gamma_star, cfg.y0)
-    y, nxt = run.current
+    total = cfg.epochs * samples.shape[0]
+    run = _Run(ctx, cfg, total, gamma_star, cfg.y0)
+    rows, gammas, full, tail_start = run.rows, run.gammas, _BLOCK, run.tail_start
+    book_projection = run.projection_iters.append
+    record_at = min(cfg.record_every, total)
+    n, wsum, xi_tail = 0, 0.0, 0.0
+    y, nxt = rows[0], rows[1]
+    up, low = float(_sum(y)) * slack, y.item(y.argmin())
+    resum_at, wait = 0, 1  # the first step that may retake up from sum y, and the next wait
     ng = np.empty_like(y)
     xg = np.empty_like(y)
     step_a = np.empty(())  # the step as a 0-d array, to scale ng without a conversion
-    ymin = run.min_under
-    projected = False
     diverged = False
     constant = cfg.schedule.kind == "constant"
     gamma0 = cfg.schedule.gamma0
@@ -401,27 +434,59 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
             gamma = gamma0 if constant else gamma0 * float(k) ** -beta
             g_xi, g_z = grads(xi, z)
             xi = xi - gamma * g_xi
-            np.divide(b, y, out=ng)
+            np.divide(b, y, ng)  # out passed by position: a keyword costs a tenth more
             if g_z != 0.0:  # x * 0 would only add signed zeros
-                ng += np.multiply(x, g_z, out=xg)
-            # kappa = min(ymin, 1), NaN kept, without a builtin call
-            step = gamma * (1.0 if ymin > 1.0 else ymin) if tamed else gamma
+                ng += np.multiply(x, g_z, xg)
+            # kappa = min(min y, 1), NaN kept, without a builtin call
+            step = gamma if low >= 1.0 or not tamed else gamma * low
             step_a[()] = step
-            np.multiply(ng, step_a, out=ng)
+            np.multiply(ng, step_a, ng)
             if smd:
-                # Since kappa <= y_i and b_i <= 1, |step * ng_i| is at most
-                # gamma + step * |X_i dL/dz|.  That bound needs b/y finite,
-                # which y >= 1e-300 ensures: for a subnormal y_i, b_i / y_i is
-                # inf.
-                bound = step * abs(g_z) * x_max + gamma if ymin >= 1e-300 else math.inf
-                _, projected, ymin = _prox(y, ng, m, bound, nxt)
+                bound = step * abs(g_z) * x_max + gamma if low >= 1e-300 else math.inf
+                certified = False
+                if bound <= 600.0:
+                    grow = exp(bound) * slack
+                    if not up * grow <= cap and k >= resum_at:
+                        up = float(_sum(y)) * slack
+                        if up * grow <= cap:
+                            wait = 1
+                        else:  # y sits near the cap: wait longer for the next retake
+                            resum_at, wait = k + wait, 2 * wait
+                    up_next = up * grow
+                    low_next = low / grow
+                    certified = up_next <= cap and low_next >= _NORMAL
+                if certified:
+                    np.exp(ng, ng)
+                    np.multiply(y, ng, nxt)
+                    up = up_next
+                    low = low_next if low_next >= 1.0 else nxt.item(nxt.argmin())
+                else:
+                    _, projected, low = _prox(y, ng, m, bound, nxt)
+                    up = math.inf
+                    if projected:
+                        book_projection(k)
             else:
-                np.add(ng, y, out=nxt)
-                ymin = nxt.item(nxt.argmin())
-                if not ymin > 0.0:
-                    nxt[nxt <= 0.0] = _SGD_FLOOR
-                    ymin = nxt.item(nxt.argmin())
-            y, nxt = run.step(k, gamma, xi, ymin, projected)
+                np.add(ng, y, nxt)
+                if g_z != 0.0 or not low >= keep:
+                    low = nxt.item(nxt.argmin())
+                    if not low > 0.0:
+                        nxt[nxt <= 0.0] = _SGD_FLOOR
+                        low = nxt.item(nxt.argmin())
+            gammas[n] = gamma
+            n += 1
+            wsum += gamma
+            if k >= tail_start:
+                xi_tail += xi
+            y = nxt
+            if k == record_at or n == full:
+                run.flush(n, wsum, xi_tail)
+                if k == record_at:
+                    record_at = run.record(k, xi)
+                n = 0
+                y = rows[0]
+                up, low = float(_sum(y)) * slack, y.item(y.argmin())
+                resum_at, wait = 0, 1
+            nxt = rows[n + 1]
         if diverged:
             break
     # Blowups in the uncapped baselines surface as a non-finite loss z at the
@@ -430,6 +495,7 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     # here.
     if not (np.all(np.isfinite(y)) and math.isfinite(xi)):
         diverged = True
+    run.flush(n, wsum, xi_tail)
     return run.result(xi, diverged, k)
 
 

@@ -284,6 +284,19 @@ def test_synthetic_generator_properties():
     np.testing.assert_array_equal(model.lambda1, again.lambda1)
 
 
+@pytest.mark.parametrize("d,seed", [(2, 0), (12, 5), (10, -1), (3, 2 ** 70 + 3)])
+def test_synthetic_generator_draws_from_the_philox_stream(monkeypatch, d, seed):
+    """``generate_model`` draws from ``market_models._rng``: the model is bit
+    for bit the one from a Philox generator keyed by the seed's low 64 bits."""
+    got = bc.generate_model(d, seed)
+    monkeypatch.setattr(mm, "_rng", lambda s: np.random.Generator(
+        np.random.Philox(key=s & (2 ** 64 - 1))))
+    want = bc.generate_model(d, seed)
+    for name in ("weight", "mu1", "mu2", "lambda1", "lambda2", "nu1", "nu2"):
+        assert np.asarray(getattr(got, name)).tobytes() == \
+            np.asarray(getattr(want, name)).tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # reference command
 # ---------------------------------------------------------------------------
@@ -581,6 +594,16 @@ def test_cli_import_leaves_multiprocessing_out():
     the CLI module does not load multiprocessing."""
     env = dict(os.environ, PYTHONPATH=str(Path(bc.__file__).parents[1]))
     probe = "import sys, rbmd.bench_cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_numpy_random_out():
+    """numpy.random loads on the first draw, not when the CLI module is
+    imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bc.__file__).parents[1]))
+    probe = "import sys, rbmd.bench_cli; print('numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"

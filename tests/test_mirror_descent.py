@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -552,7 +553,13 @@ def _bits(value):
 _MEASURES = {"es": rl.MeasureSpec.expected_shortfall(0.95), "mad": rl.MeasureSpec.mad(),
              "variantile": rl.MeasureSpec.variantile(0.75)}
 
-# (rule, measure, d, (schedule, gamma0), m_cap, guarded branches the case reaches)
+# (rule, measure, d, (schedule, gamma0), m_cap, guarded branches the case reaches,
+# and optionally a set-up: the start y0 scaled to sum to a share "y0" of m_cap,
+# "samples" draws (60) and "record_every" (7)).  Besides the oracle's branches,
+# "skip" is an SMD step that certifies the cap inactive and calls no ``_prox``,
+# "skip, then cap" a capped step after one in the same record interval,
+# "kappa 1" min y >= 1 at every iterate, "cross" min y crossing 1 between two
+# records and "long records" records further apart than ``_BLOCK``.
 _ORACLE_GRID = [
     # plain regime: the cap projection fires, nothing else
     ("smd", "es", 3, ("constant", 1.0), 100.0, {"cap"}),
@@ -577,7 +584,28 @@ _ORACLE_GRID = [
     ("classical", "variantile", 3, ("constant", 1e6), 100.0, {"reset", "diverged"}),
     # finite iterates whose loss law overflows: the last record reads inf
     ("classical", "es", 10, ("power", 1e300), 100.0, {"reset", "overflow", "diverged"}),
+    # the carried bounds: kappa = 1 and the cap certified inactive on nearly every step
+    ("smd", "es", 3, ("power", 1.0), 100.0, {"kappa 1", "skip"}, {"y0": 0.5}),
+    ("smd", "es", 3, ("power", 1.0), 100.0, {"cross", "skip"}, {"y0": 0.3}),
+    # certified steps up to the cap, which then binds
+    ("smd", "es", 3, ("constant", 0.3), 20.0, {"skip", "skip, then cap"},
+     {"y0": 0.2, "record_every": 40}),
+    # small steps creep up to the cap: the bound must give way just before it binds
+    ("smd", "es", 3, ("constant", 0.05), 20.0, {"skip", "cap"}, {"y0": 0.9}),
+    ("smd", "es", 3, ("power", 1.0), 100.0, {"kappa 1", "skip", "long records"},
+     {"y0": 0.5, "samples": 200, "record_every": 300}),
+    # SGD steps with dL/dz = 0 keep the lower bound on min y
+    ("tamed", "es", 3, ("power", 1.0), 100.0, {"kappa 1"}, {"y0": 0.5}),
+    ("tamed", "es", 10, ("power", 1.0), 100.0, {"cross", "long records"},
+     {"y0": 0.3, "samples": 200, "record_every": 300}),
+    ("classical", "es", 3, ("power", 1.0), 100.0, {"kappa 1", "long records"},
+     {"y0": 0.3, "samples": 200, "record_every": 300}),
 ]
+# ids from the six columns and the row index, and the set-up's when a row has one
+_ORACLE_CASES = [pytest.param(*row[:6], row[6] if len(row) == 7 else {},
+                               id=f"{row[0]}-{row[1]}-{row[2]}-sched{i}-{row[4]}-branches{i}"
+                               + (f"-setup{i}" if len(row) == 7 else ""))
+                 for i, row in enumerate(_ORACLE_GRID)]
 
 
 @pytest.fixture
@@ -593,27 +621,97 @@ _BLOCKS = pytest.mark.parametrize("block", [md._BLOCK, 5, 7], ids=lambda n: f"B{
                                   indirect=True)
 
 
+@pytest.fixture
+def prox_calls(monkeypatch):
+    """(step, capped) of every ``_prox`` call a run makes; the step count
+    comes from the gradient closure, which the runs call once per step."""
+    calls, steps = [], [0]
+    prox, make_gradient_fn = md._prox, rl.make_gradient_fn
+
+    def counted(measure):
+        grads = make_gradient_fn(measure)
+
+        def step(xi, z):
+            steps[0] += 1
+            return grads(xi, z)
+        return step
+
+    def logged(*args, **kwargs):
+        out = prox(*args, **kwargs)
+        calls.append((steps[0], out[1]))
+        return out
+
+    monkeypatch.setattr(rl, "make_gradient_fn", counted)
+    monkeypatch.setattr(md, "_prox", logged)
+    return calls
+
+
+def _certificate_hits(rule, ctx, samples, cfg, steps, prox_calls):
+    """The carried-bound branches a run of ``steps`` steps reaches: its
+    ``_prox`` calls, and min y at every iterate from the oracle recording
+    each step."""
+    hits = set()
+    every, _ = _reference_stochastic_run(rule, ctx, samples,
+                                         dataclasses.replace(cfg, record_every=1))
+    mins = [float(cfg.y0.min())] + [float(y.min()) for _, y in every.y_trace]
+    if min(mins) >= 1.0:
+        hits.add("kappa 1")
+    if any((mins[k - 1] >= 1.0) != (mins[k] >= 1.0) and k % cfg.record_every
+           for k in range(1, steps)):
+        hits.add("cross")
+    if cfg.record_every > md._BLOCK:
+        hits.add("long records")
+    if rule == "smd":
+        skipped = set(range(1, steps + 1)) - {k for k, _ in prox_calls}
+        if skipped:
+            hits.add("skip")
+        if any(j in skipped for k, capped in prox_calls if capped
+               for j in range(k - (k - 1) % cfg.record_every, k)):
+            hits.add("skip, then cap")
+    return hits
+
+
 @_BLOCKS
-@pytest.mark.parametrize("rule,measure,d,sched,m_cap,branches", _ORACLE_GRID)
+@pytest.mark.parametrize("rule,measure,d,sched,m_cap,branches,setup", _ORACLE_CASES)
 def test_stochastic_runs_match_plain_oracle_bit_for_bit(rule, measure, d, sched, m_cap,
-                                                        branches, block):
+                                                        branches, setup, block, prox_calls):
     model = generate_model(d, 40 + d)
     ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d), _MEASURES[measure], model)
-    samples = mm.sample_returns(model, 60, seed=d)
+    samples = mm.sample_returns(model, setup.get("samples", 60), seed=d)
     kind, gamma0 = sched
     schedule = (md.StepSchedule.power(gamma0, 0.65) if kind == "power"
                 else md.StepSchedule.constant(gamma0))
+    y0 = rb.default_y0(model, m_cap)
+    if "y0" in setup:
+        y0 *= setup["y0"] * m_cap / y0.sum()
     cfg = md.OptimizerConfig(m_cap=m_cap, schedule=schedule, iterations=1, epochs=2,
-                             y0=rb.default_y0(model, m_cap), record_every=7)
+                             y0=y0, record_every=setup.get("record_every", 7))
     with np.errstate(all="ignore"):
         want, hits = _reference_stochastic_run(rule, ctx, samples, cfg)
         if rule == "smd":
             got = md.smd_run(ctx, samples, cfg)
         else:
             got = md.sgd_run(rule, ctx, samples, cfg)
-    assert branches <= hits
+        hits |= _certificate_hits(rule, ctx, samples, cfg, got.iterations, prox_calls)
+    assert branches <= hits, hits
     for name in vars(want):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+
+
+def test_block_min_skips_iterates_with_a_nan_coordinate():
+    """``min_underbar_y`` passes over an iterate with a NaN coordinate as a
+    whole, as a per-step ``<`` test on its min (NaN) would, and keeps the
+    least coordinate of the block's other iterates."""
+    cfg = md.OptimizerConfig(m_cap=10.0, schedule=md.StepSchedule.constant(1.0),
+                             iterations=3, y0=[1.0, 2.0])
+    run = md._Run(None, cfg, 3, None, cfg.y0)
+    run.block[1:4] = [[0.5, 3.0], [math.nan, 1e-4], [math.nan, math.nan]]
+    run.gammas[:3] = 1.0
+    run.flush(3, 3.0)
+    assert run.min_under == 0.5
+    run.block[1] = [math.nan, 1e-4]
+    run.flush(1, 4.0)
+    assert run.min_under == 0.5
 
 
 def _reference_dmd_run(ctx, cfg):
