@@ -12,17 +12,20 @@ the equal-weight portfolio of the README mixture and of the d = 50 desk model
 0.95) and ``expected_power_loss`` (p = 1 and 2, about the 0.75 quantile) for
 the same two portfolios.  ``test_sampling_cost`` draws 100,000 return vectors
 with ``sample_returns`` from the synthetic (seed 2024) models at d = 3, 10 and
-50 and records ``extra_info["draws_per_s"]``.  ``test_reference_cost`` times
-``reference_portfolio``: ES 95% on the README mixture at tol 1e-10, on a
-synthetic d = 10 model (seed 2024) and on the desk model at tol 1e-8, MAD on the
-README mixture at tol 1e-5 and the 0.75 variantile on it at tol 1e-10; it
-records the median seconds and the Newton step count.  These files sit outside
-``tests/`` and are not part of the default test run;
+50 and records ``extra_info["draws_per_s"]`` and ``extra_info["peak_mb"]``,
+the ``tracemalloc`` peak of one call in MiB, result included.
+``test_reference_cost`` times ``reference_portfolio``: ES 95% on the README
+mixture at tol 1e-10, on a synthetic d = 10 model (seed 2024) and on the desk
+model at tol 1e-8, MAD on the README mixture at tol 1e-5 and the 0.75
+variantile on it at tol 1e-10; it records the median seconds and the Newton
+step count.  These files sit outside ``tests/`` and are not part of the
+default test run;
 ``PYTHONPATH=src python -m pytest benchmarks --benchmark-disable`` runs every
 case once as a smoke test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +107,12 @@ def test_sampling_cost(benchmark, d):
                                warmup_rounds=1)
     assert draws.shape == (N_DRAWS, d) and np.all(np.isfinite(draws))
     benchmark.extra_info["draws_per_s"] = N_DRAWS / median_s(benchmark)
+    tracemalloc.start()
+    try:
+        mm.sample_returns(model, N_DRAWS, 11)
+        benchmark.extra_info["peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("case, tol", [(("es", "mixture"), 1e-10), (("es", "d10"), 1e-8),

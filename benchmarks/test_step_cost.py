@@ -11,10 +11,11 @@ does; it also times one record's ``gamma_value`` and reports the step cost
 less the records' share.  ``test_prox_cost`` times the entropic prox alone,
 as SMD calls it, at d = 3, 10, 50 and 250, with the l1 cap inactive and
 with it binding.  The cases above start on the cap (sum y0 = m = 100);
-``test_certified_step_cost`` runs SMD in the ``stochastic`` benchmark's
-``smd-d3`` regime instead, where the iterate settles well inside the ball
-with min y >= 1 and nearly every step certifies kappa = 1 and the cap
-inactive on the loop's carried bounds.
+``test_certified_step_cost`` runs SMD off it instead: at d = 3 in the
+``stochastic`` benchmark's ``smd-d3`` regime, where the iterate settles well
+inside the ball with min y >= 1 and nearly every step certifies kappa = 1 and
+the cap inactive on the loop's carried bounds, and at d = 50 on the desk model
+with ``rbmd run``'s default cap m = 100 d.
 ``extra_info["us_per_step"]`` is the median run time divided by the step
 count.  These files sit outside ``tests/`` and are not part of the default
 test run.
@@ -32,7 +33,7 @@ from rbmd import mirror_descent as md
 from rbmd import rb_solver as rb
 from rbmd import risk_loss as rl
 from rbmd.bench_cli import generate_model
-from test_layer_cost import README_MODEL
+from test_layer_cost import DESK_MODEL, README_MODEL
 
 N_SAMPLES = 20_000
 N_DMD = 200
@@ -100,15 +101,18 @@ def test_dense_record_cost(benchmark):
     benchmark.extra_info["us_per_step_less_records"] = us_per_step - us_per_record / DENSE_RECORD
 
 
-def test_certified_step_cost(benchmark):
-    """SMD on the README three-asset mixture, ES 95%, power(1, 0.75), m = 100,
-    one record at the end; ``extra_info`` adds the capped steps and the final
-    sum y."""
-    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(3),
-                              rl.MeasureSpec.expected_shortfall(0.95), README_MODEL)
-    samples = mm.sample_returns(README_MODEL, N_SAMPLES, seed=11)
-    cfg = md.OptimizerConfig(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.75),
-                             iterations=1, y0=rb.default_y0(README_MODEL, 100.0),
+@pytest.mark.parametrize("model, m_cap", [(README_MODEL, 100.0), (DESK_MODEL, 5000.0)],
+                         ids=["d3", "d50"])
+def test_certified_step_cost(benchmark, model, m_cap):
+    """SMD with ES 95% and power(1, 0.75), one record at the end, on the
+    README three-asset mixture at m = 100 and on the d = 50 desk model at
+    m = 100 d, the cap ``rbmd run`` gives it; ``extra_info`` adds the capped
+    steps and the final sum y."""
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(model.d),
+                              rl.MeasureSpec.expected_shortfall(0.95), model)
+    samples = mm.sample_returns(model, N_SAMPLES, seed=11)
+    cfg = md.OptimizerConfig(m_cap=m_cap, schedule=md.StepSchedule.power(1.0, 0.75),
+                             iterations=1, y0=rb.default_y0(model, m_cap),
                              record_every=N_SAMPLES)
     result = benchmark.pedantic(md.smd_run, args=(ctx, samples, cfg), rounds=5, warmup_rounds=1)
     assert not result.diverged and result.iterations == N_SAMPLES

@@ -308,8 +308,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _fmt(x) -> str:
@@ -337,15 +336,17 @@ def write_trace_csv(path: Path, result: md.RunResult, schedule: md.StepSchedule)
     d = result.y_final.size
     header = ["iter", "gamma", "gap", "xi"] + [f"y_{i + 1}" for i in range(d)]
     xis = dict(result.xi_trace)
-    rows = []
-    for i, (k, gap) in enumerate(result.gap_trace):
-        if i < len(result.y_trace):
-            xi, y = xis.get(k, math.nan), result.y_trace[i][1]
-        else:
-            xi, y = math.nan, [math.nan] * d
-        gamma = md.step_size(schedule, k) if k else math.nan  # a DMD run that took no step
-        rows.append([k, _fmt(gamma), _fmt(gap), _fmt(xi)] + [_fmt(v) for v in y])
-    _write_csv(path, header, rows)
+
+    def rows():  # each row is written as soon as it is formatted
+        for i, (k, gap) in enumerate(result.gap_trace):
+            if i < len(result.y_trace):
+                xi, y = xis.get(k, math.nan), result.y_trace[i][1]
+            else:
+                xi, y = math.nan, [math.nan] * d
+            gamma = md.step_size(schedule, k) if k else math.nan  # a DMD run that took no step
+            yield [k, _fmt(gamma), _fmt(gap), _fmt(xi)] + [_fmt(v) for v in y]
+
+    _write_csv(path, header, rows())
 
 
 # ---------------------------------------------------------------------------

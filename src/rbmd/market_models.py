@@ -29,8 +29,10 @@ __all__ = [
     "upper_moments",
 ]
 
-# Fixed sampling chunk (rows scaled by dimension) so that the draws for a
-# given (model, n, seed) are identical no matter the available memory.
+# Sampling chunk: max(1024, _CHUNK_BUDGET // d) rows.  The chunk boundaries and
+# the order of the draws within a chunk fix the stream of a (model, n, seed);
+# the buffers the draws land in do not.  A chunk's temporaries take about
+# (2 - weight) * chunk * d doubles (see sample_returns).
 _CHUNK_BUDGET = 2_097_152
 
 # The least positive float: a Newton step over a density that underflowed to 0
@@ -212,12 +214,30 @@ def _rng(seed: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(key=seed & (2 ** 64 - 1)))
 
 
+def _t_factor(nu: float, w: np.ndarray) -> np.ndarray:
+    """sqrt(nu / (2 w)) in place: the t scale of the chi-squared draws 2 w."""
+    w *= 2.0
+    np.divide(nu, w, out=w)
+    return np.sqrt(w, out=w)
+
+
 def sample_returns(model: MixtureModel, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. return vectors; identical seeds give bit-identical output.
 
     Each row picks component 1 with probability ``weight``, then draws
     mu + (chol(Lambda) g) * sqrt(nu / chi2_nu) with g standard normal
     (the chi-squared factor is skipped for Gaussian-flagged components).
+
+    The stream is fixed by the chunk boundaries (``_CHUNK_BUDGET``) and by
+    the order of the draws in a chunk of k rows: k uniforms, k x d normals,
+    then k chi-squared draws for each component, Gaussian or not.  Each chunk
+    is transformed in place in its rows of the result: component 2's product
+    g chol2^T is written there and only its own rows are kept aside, then
+    component 1's overwrites it.  Each product spans the whole chunk (a
+    product over a subset of rows may round differently).  Besides the
+    result, the temporaries stay within (2 - weight) * chunk * d doubles, up
+    to the binomial spread of the component-2 row count, plus five doubles
+    per chunk row.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -225,20 +245,29 @@ def sample_returns(model: MixtureModel, n: int, seed: int) -> np.ndarray:
     rng = _rng(seed)
     chunk = min(n, max(1024, _CHUNK_BUDGET // d))
     out = np.empty((n, d))
-    chol1_t = model._chol1.T
-    chol2_t = model._chol2.T
+    g_buf = np.empty((chunk, d))
+    w1_buf = np.empty(chunk)
+    w2_buf = np.empty(chunk)
     done = 0
     while done < n:
         k = min(chunk, n - done)
-        pick1 = rng.random(k) < model.weight
-        g = rng.standard_normal((k, d))
-        w1 = 2.0 * rng.standard_gamma(model.nu1 / 2.0, k)
-        w2 = 2.0 * rng.standard_gamma(model.nu2 / 2.0, k)
-        f1 = 1.0 if model.gaussian1 else np.sqrt(model.nu1 / w1)[:, None]
-        f2 = 1.0 if model.gaussian2 else np.sqrt(model.nu2 / w2)[:, None]
-        x1 = model.mu1 + (g @ chol1_t) * f1
-        x2 = model.mu2 + (g @ chol2_t) * f2
-        out[done:done + k] = np.where(pick1[:, None], x1, x2)
+        rows, g, w1, w2 = out[done:done + k], g_buf[:k], w1_buf[:k], w2_buf[:k]
+        rng.random(out=w1)
+        rest = np.flatnonzero(w1 >= model.weight)  # the rows of component 2
+        rng.standard_normal(out=g)
+        rng.standard_gamma(model.nu1 / 2.0, out=w1)
+        rng.standard_gamma(model.nu2 / 2.0, out=w2)
+        if rest.size:
+            x2 = np.matmul(g, model._chol2.T, out=rows)[rest]
+            if not model.gaussian2:
+                x2 *= _t_factor(model.nu2, w2[rest])[:, None]
+            x2 += model.mu2
+        np.matmul(g, model._chol1.T, out=rows)
+        if not model.gaussian1:
+            rows *= _t_factor(model.nu1, w1)[:, None]
+        rows += model.mu1
+        if rest.size:
+            rows[rest] = x2
         done += k
     return out
 

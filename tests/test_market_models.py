@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rbmd import market_models as mm
+from rbmd.bench_cli import generate_model
 
 from conftest import make_bench_model, random_loss_params, random_mixture_model
 
@@ -85,6 +87,78 @@ def test_sampling_marginals_match_cdf(bench_model):
         params = mm.portfolio_loss_params(bench_model, e)
         res = stats.kstest(x[:, j], lambda q: mm.mixture_cdf(params, q))
         assert res.pvalue > 0.001
+
+
+def _plain_sample_returns(model, n, seed):
+    """The sampler written plainly: both components transformed out of place
+    over each chunk, then merged row by row with ``np.where``."""
+    d = model.d
+    rng = mm._rng(seed)
+    chunk = min(n, max(1024, mm._CHUNK_BUDGET // d))
+    out = np.empty((n, d))
+    chol1_t = model._chol1.T
+    chol2_t = model._chol2.T
+    done = 0
+    while done < n:
+        k = min(chunk, n - done)
+        pick1 = rng.random(k) < model.weight
+        g = rng.standard_normal((k, d))
+        w1 = 2.0 * rng.standard_gamma(model.nu1 / 2.0, k)
+        w2 = 2.0 * rng.standard_gamma(model.nu2 / 2.0, k)
+        f1 = 1.0 if model.gaussian1 else np.sqrt(model.nu1 / w1)[:, None]
+        f2 = 1.0 if model.gaussian2 else np.sqrt(model.nu2 / w2)[:, None]
+        x1 = model.mu1 + (g @ chol1_t) * f1
+        x2 = model.mu2 + (g @ chol2_t) * f2
+        out[done:done + k] = np.where(pick1[:, None], x1, x2)
+        done += k
+    return out
+
+
+def _sampling_model(name):
+    """The README mixture, synthetic d = 10 and d = 50 models, and variants of
+    the d = 10 model: one t component, a Gaussian component on either side
+    and a weight below 1/2."""
+    if name == "readme":
+        return make_bench_model()
+    if name == "d50":
+        return generate_model(50, 2024)
+    base = generate_model(10, 2024)
+    if name == "single-t":
+        return mm.MixtureModel.single_t(base.mu1, base.lambda1, base.nu1)
+    changes = {"gaussian1": {"gaussian1": True}, "gaussian2": {"gaussian2": True},
+               "weight-0.3": {"weight": 0.3}}.get(name, {})
+    return mm.MixtureModel.from_dict({**base.to_dict(), **changes})
+
+
+def _chunk(d):
+    return max(1024, mm._CHUNK_BUDGET // d)
+
+
+@pytest.mark.parametrize("name", ["readme", "d10", "d50", "single-t", "gaussian1", "gaussian2",
+                                  "weight-0.3"])
+def test_sampling_matches_plain_sampler(name):
+    """The in-place chunk loop draws the plain loop's stream bit for bit, for
+    one row and for sizes on either side of one and two chunks."""
+    model = _sampling_model(name)
+    chunk = _chunk(model.d)
+    for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 7):
+        got = mm.sample_returns(model, n, seed=n)
+        assert got.tobytes() == _plain_sample_returns(model, n, seed=n).tobytes(), n
+
+
+@pytest.mark.parametrize("name", ["readme", "d10", "d50"])
+def test_sampling_temporaries_are_bounded(name):
+    """Besides its result, a draw allocates at most the normals' chunk buffer,
+    the component-2 rows of one chunk and five doubles per chunk row."""
+    model = _sampling_model(name)
+    d, chunk = model.d, _chunk(model.d)
+    tracemalloc.start()
+    try:
+        x = mm.sample_returns(model, chunk + 7, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - x.nbytes <= (2.0 - model.weight) * chunk * d * 8 + 5 * 8 * chunk
 
 
 # ---------------------------------------------------------------------------
