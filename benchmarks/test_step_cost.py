@@ -124,8 +124,8 @@ def test_certified_step_cost(benchmark, model, m_cap):
 @pytest.mark.parametrize("cap", ["inactive", "binding"])
 @pytest.mark.parametrize("d", [3, 10, 50, 250], ids=lambda d: f"d{d}")
 def test_prox_cost(benchmark, d, cap):
-    """One ``_prox`` call as SMD makes it: exponents within the clamp-free
-    bound, the new point written to a reused buffer.  The ball's radius is ten
+    """One ``_prox`` call as the runners make it: small exponents, the new
+    point written to a reused buffer.  The ball's radius is ten
     times the sum of y * exp(e) (cap inactive) or half of it (binding).  Each
     call first restores the exponents, which ``_prox`` overwrites; that
     ``np.copyto`` counts in ``us_per_call``."""
@@ -139,7 +139,7 @@ def test_prox_cost(benchmark, d, cap):
     def run():
         for _ in range(N_PROX):
             np.copyto(e, e0)
-            projected = md._prox(y, e, m, 1.0, out)[1]
+            projected = md._prox(y, e, m, out)[1]
         return projected
 
     projected = benchmark.pedantic(run, rounds=5, warmup_rounds=1)

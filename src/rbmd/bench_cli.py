@@ -489,6 +489,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int, threads: int
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(config.raw, d, i) for d in config.dimensions
              for i in range(config.replications)]
+    threads = min(threads, len(tasks))  # a pool forks all its workers at once
     if threads > 1:
         # imported here: a serial run need not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

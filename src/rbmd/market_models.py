@@ -438,34 +438,25 @@ def _t_tail_ex2(q: float, nu: float) -> float:
 
 
 def _map_floats(fn, x) -> np.ndarray:
-    """``fn`` applied to each element of the array ``x`` as a Python float; the
-    results keep the shape of ``x`` (a tuple result adds a last axis)."""
+    """The float ``fn`` applied to each element of the array ``x`` as a Python
+    float; the results keep the shape of ``x``."""
     x = np.asarray(x, dtype=float)
-    out = np.array([fn(v) for v in x.ravel().tolist()], dtype=float)
-    return out.reshape(x.shape + out.shape[1:])
+    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
-def _upper_moments(q: float, gaussian: bool, nu: float, k: int) -> tuple:
+def upper_moments(q: float, gaussian: bool, nu: float, k: int) -> tuple:
+    """(E[(T - q)_+^k], E[T (T - q)_+^k]) of the standardized component T for
+    k in {0, 1}, with (T - q)_+^0 = 1{T > q}; a t component needs nu > k + 1."""
     if gaussian:
         sf, ex1 = _norm_sf(q), _norm_pdf(q)
+    elif nu <= k + 1:
+        raise NumericsError(f"tail moment of order {k + 1} needs nu > {k + 1}, got {nu}")
     else:
         sf, ex1 = _t_sf(q, nu), _t_tail_ex1(q, nu)
     if k == 0:
         return sf, ex1
     ex2 = q * ex1 + sf if gaussian else _t_tail_ex2(q, nu)
     return ex1 - q * sf, ex2 - q * ex1
-
-
-def upper_moments(q, gaussian: bool, nu: float, k: int):
-    """(E[(T - q)_+^k], E[T (T - q)_+^k]) of the standardized component T for
-    k in {0, 1}, with (T - q)_+^0 = 1{T > q}; a t component needs nu > k + 1.
-    Floats, or arrays of the shape of ``q``."""
-    if not gaussian and nu <= k + 1:
-        raise NumericsError(f"tail moment of order {k + 1} needs nu > {k + 1}, got {nu}")
-    if isinstance(q, float) or np.ndim(q) == 0:
-        return _upper_moments(float(q), gaussian, nu, k)
-    m = _map_floats(lambda v: _upper_moments(v, gaussian, nu, k), q)
-    return m[..., 0], m[..., 1]
 
 
 # ---------------------------------------------------------------------------

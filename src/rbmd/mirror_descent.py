@@ -130,47 +130,30 @@ class RunResult:
     projection_iters: list
 
 
-def _prox(y: np.ndarray, e: np.ndarray, m: float, bound: float = math.inf, out=None):
+def _prox(y: np.ndarray, e: np.ndarray, m: float, out=None):
     """Entropic prox y * exp(e), rescaled onto the l1 ball of radius m when its
     sum exceeds m, written to ``out`` (a new array when None, never y); e is
     overwritten.  Returns the new point, whether the cap was active, and its
     min.  The output is always finite and strictly positive: exponents are
-    clamped to +-_CLAMP and underflows floored to _TINY.  ``bound`` is an upper
-    bound on max|e_i|; at 600 or less (100 below _CLAMP, room for its rounding)
-    the clamp cannot act and is skipped.
-
-    The cap test first screens with the BLAS dot D = y . exp(e), which is
-    cheaper than the pairwise sum s of w = y * exp(e).  Both add d
-    nonnegative products, so in any order, fused or not, each lies within
-    gamma_d = d u / (1 - d u) of the exact sum (u = 2^-53; Higham 2002,
-    sections 3.1 and 4.2), and s <= (1 + 2 d u + O(d^2 u^2)) D.  A product
-    or fused multiply-add that lands below the normal range adds at most
-    2^-1075 more, d 2^-1074 over both sums.  A normal D with
-    D <= m (1 - 4 (d + 1) u) therefore leaves a margin of at least
-    (2 d + 2) u m >= (d + 1) 2^-1074 over both errors: s is finite and at
-    most m, the cap cannot act and s is not taken.  Every other D, inf and
-    NaN included, takes s and the exact path, so a capped step pays the dot
-    on top of the sum.  The min is ``w[argmin]``: the exact minimum, as a
-    reduction gives, but for which zero it returns when +0 and -0 tie; a zero
-    is floored to _TINY either way."""
-    if not bound <= 600.0:
-        np.maximum(e, -_CLAMP, out=e)
-        np.minimum(e, _CLAMP, out=e)
+    clamped to +-_CLAMP, a sum that overflows is rescaled in the log domain
+    and underflows are floored to _TINY.  The min is ``w[argmin]``: the exact
+    minimum, as a reduction gives, but for which zero it returns when +0 and
+    -0 tie; a zero is floored to _TINY either way."""
+    np.maximum(e, -_CLAMP, out=e)
+    np.minimum(e, _CLAMP, out=e)
     np.exp(e, out=e)
     w = np.multiply(y, e, out=out)
-    projected = False
-    if not _NORMAL <= y.dot(e) <= m * (1.0 - (4 * (y.size + 1)) * 2.0 ** -53):
-        s = float(_sum(w))
-        projected = not s <= m
-        if not math.isfinite(s):
-            # log-domain fallback: only reachable for extreme caps/overflow
-            np.log(y, out=w)
-            w += np.log(e, out=e)
-            w -= w.max()
-            np.exp(w, out=w)
-            w *= m / w.sum()
-        elif projected:
-            w *= m / s
+    s = float(_sum(w))
+    projected = not s <= m
+    if not math.isfinite(s):
+        # log-domain fallback: only reachable for extreme caps/overflow
+        np.log(y, out=w)
+        w += np.log(e, out=e)
+        w -= w.max()
+        np.exp(w, out=w)
+        w *= m / w.sum()
+    elif projected:
+        w *= m / s
     ymin = w.item(w.argmin())
     if ymin < _TINY:  # an exp or a rescale underflowed to 0
         np.maximum(w, _TINY, out=w)
@@ -184,8 +167,12 @@ def prox_map(y: np.ndarray, v: np.ndarray, m: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not (m > 0.0):
         raise ValueError("m must be positive")
-    if np.any(y <= 0.0):
-        raise ValueError("y must be strictly positive")
+    if y.shape != v.shape:
+        raise ValueError(f"y and v must have the same shape, got {y.shape} and {v.shape}")
+    if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
+        raise ValueError("y must be strictly positive and finite")
+    if np.any(np.isnan(v)):
+        raise ValueError("v must not contain NaN")
     if y.sum() > m * (1.0 + 1e-9):
         raise ValueError("y must lie inside the l1 ball of radius m")
     return _prox(y, -v, m)[0]
@@ -328,7 +315,7 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
         grad_norm = float(np.abs(tg).max())
         if cfg.grad_tol is not None and grad_norm <= cfg.grad_tol:
             break
-        y, projected, _ = _prox(y, tg * -gamma, cfg.m_cap, gamma * grad_norm, rows[n + 1])
+        y, projected, _ = _prox(y, tg * -gamma, cfg.m_cap, rows[n + 1])
         gammas[n] = gamma
         n += 1
         wsum += gamma
@@ -378,14 +365,16 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
       product.  The slack s = 1 + (d + 8192) 2^-52 covers that, the
       rounding of up' = up e^bound s and low' = low / (e^bound s), and the
       pairwise sum of y that up is taken from (within d u).  If
-      low' >= 2^-1022 (every product normal) and up' <= m (1 - 4 (d + 1) u),
-      the margin of ``_prox``'s dot screen, the pairwise sum of the new
-      point is at most m.  Then neither the cap, the clamp nor the floor can
-      act, and exp and a multiply give ``_prox``'s point bit for bit.  A
-      step that fails on up first retakes it from sum y.  If it fails
-      again, y sits near the cap, and the next retake waits 1, 2, 4, ...
-      steps, until a retake certifies or a block starts.  Every other step
-      calls ``_prox``, takes low from its exact min and leaves up inf.
+      low' >= 2^-1022, every product is normal, and a pairwise sum of d
+      nonnegative normal products lies within d u / (1 - d u) of their exact
+      sum (Higham 2002, sections 3.1 and 4.2).  So up' <= m (1 - 4 (d + 1) u)
+      puts the pairwise sum of the new point at most m, with room to spare.
+      Then neither the cap, the clamp nor the floor can act, and exp and a
+      multiply give ``_prox``'s point bit for bit.  A step that fails on up
+      first retakes it from sum y.  If it fails again, y sits near the cap,
+      and the next retake waits 1, 2, 4, ... steps, until a retake certifies
+      or a block starts.  Every other step calls ``_prox``, takes low from
+      its exact min and leaves up inf.
     * SGD: a step with dL/dz = 0 and low >= 1e-300 adds a finite,
       nonnegative step to y, so it keeps low ("tamed" only while low >= 1).
       Every other step takes the exact min, which is also its floor test.
@@ -461,7 +450,7 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
                     up = up_next
                     low = low_next if low_next >= 1.0 else nxt.item(nxt.argmin())
                 else:
-                    _, projected, low = _prox(y, ng, m, bound, nxt)
+                    _, projected, low = _prox(y, ng, m, nxt)
                     up = math.inf
                     if projected:
                         book_projection(k)

@@ -615,6 +615,42 @@ def test_cmd_compare_deterministic_and_threaded(tmp_path, measure):
         assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
 
 
+def test_cmd_compare_asks_for_at_most_one_worker_per_task(tmp_path, monkeypatch):
+    """A process pool forks all its workers on the first submit, so
+    ``--threads`` above the replication count asks for one worker per
+    replication, and a single replication runs serially.  A stub pool records
+    the worker count and maps in this process: the test starts no process."""
+    import concurrent.futures
+
+    asked = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    from concurrent.futures import ProcessPoolExecutor
+    assert ProcessPoolExecutor is StubPool  # no real pool can start below
+    doc = dict(compare_config(), optimizers=["smd"], samples=500)
+    for replications, threads, want in ((1, 64, []), (2, 64, [2]), (3, 2, [2])):
+        doc["replications"] = replications
+        out = tmp_path / f"c{replications}"
+        assert bc.main(["compare", "--config", write_config(tmp_path, doc), "--out", str(out),
+                        "--threads", str(threads)]) == 0
+        assert asked == want
+        assert len(out.joinpath("replications.csv").read_text().splitlines()) == 1 + replications
+        asked.clear()
+
+
 def test_cli_import_leaves_multiprocessing_out():
     """Only ``compare --threads`` above 1 needs the process pool, so importing
     the CLI module does not load multiprocessing."""

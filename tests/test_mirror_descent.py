@@ -91,6 +91,13 @@ def test_prox_validation():
         md.prox_map(np.array([6.0, 6.0]), np.zeros(2), 10.0)
     with pytest.raises(ValueError):
         md.prox_map(np.array([1.0, 1.0]), np.zeros(2), 0.0)
+    # a non-finite y, a NaN step or mismatched shapes would not give a finite,
+    # positive point of the right shape
+    for y, v in (([math.nan, 1.0], [0.0, 0.0]), ([math.inf, 1.0], [0.0, 0.0]),
+                 ([1.0, 1.0], [math.nan, 0.0]), ([1.0, 1.0, 1.0], [0.0]),
+                 ([1.0, 1.0], [[0.0, 0.0]])):
+        with pytest.raises(ValueError):
+            md.prox_map(np.array(y), np.array(v), 10.0)
 
 
 def test_prox_is_bregman_argmin():
@@ -396,13 +403,12 @@ def _doubles_around(s, n):
 @pytest.mark.parametrize("scale", ["unit", "tiny", "subnormal", "ties", "huge", "overflow"])
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 64, 127, 128, 129, 255, 256, 300])
 def test_prox_cap_test_matches_plain_prox_at_the_cap(d, scale):
-    """``_prox`` screens the cap with a BLAS dot before the pairwise sum; it
-    must return the plain prox's point, cap flag and min, bit for bit, for
-    caps m a few doubles either side of the plain sum: d past numpy's
+    """``_prox`` returns the plain prox's point, cap flag and min, bit for
+    bit, for caps m a few doubles either side of the plain sum: d past numpy's
     8-accumulator blocks, sums near 1e-300 with subnormal products, sums
-    below the normal range, subnormal products that tie halfway (where a
-    fused dot rounds the sum below the pairwise one), sums near the largest
-    double, and exponents the clamp cuts to 700 whose products overflow."""
+    below the normal range, subnormal products that tie halfway, sums near
+    the largest double, and exponents the clamp cuts to 700 whose products
+    overflow."""
     rng = np.random.default_rng(d)
     for _ in range(6):
         y = np.exp(rng.normal(0.0, 2.0, d))
