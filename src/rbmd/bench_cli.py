@@ -94,22 +94,18 @@ def generate_model(d: int, seed: int) -> mm.MixtureModel:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-REQUIRED = object()  # default of a key that must be given
-
-# The config schema: key -> (kind, default).  A kind is a type (int, float,
-# str or dict), a tuple of the allowed strings (optionally ending in the kind
-# that any other value must have), [kind] for a list, or a nested table.  A
-# default of None leaves the key absent, and the command that reads it
-# resolves it: as the comment says, and model.synthetic.seed to the run's seed.
+# The config schema, a table in market_models._check's kinds.  A default of
+# None leaves the key absent, and the command that reads it resolves it: as
+# the comment says, and model.synthetic.seed to the run's seed.
 _SCHEMA = {
     "model": ({"file": (str, None), "inline": (dict, None),  # exactly one of the three
-               "synthetic": ({"d": (int, REQUIRED), "seed": (int, None)}, None)},
+               "synthetic": ({"d": (int, mm.REQUIRED), "seed": (int, None)}, None)},
               None),                         # reference and run: required
     "budget": (("uniform", [float]), "uniform"),
     "measure": (dict, {"kind": "es"}),       # its keys depend on its kind: _MEASURES
     "optimizer": ({
         "algorithm": (OPTIMIZER_NAMES, "smd"),
-        "schedule": ({"kind": (("constant", "power"), REQUIRED), "gamma0": (float, 1.0),
+        "schedule": ({"kind": (("constant", "power"), mm.REQUIRED), "gamma0": (float, 1.0),
                       "beta": (float, 0.0)}, None),  # run: required
         "m_cap": (float, None),              # run: 100 for d <= 10, else 100 d
         "iterations": (int, None),           # the sample count
@@ -144,44 +140,12 @@ _MEASURES = {
 }
 
 
-def _check(value, kind, where: str):
-    """Copy of ``value`` checked against ``kind`` (see _SCHEMA), with the
-    defaults of its tables filled in.  Numbers must be JSON numbers, not
-    booleans or strings, and an int must be integral; a ConfigError names the
-    first bad key by its dotted path ``where``."""
-    if value is REQUIRED:
-        raise ConfigError(f"missing key '{where}'")
-    if isinstance(kind, dict):
-        if isinstance(value, dict):
-            unknown = set(value) - set(kind)
-            if unknown:
-                raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where or 'config'}")
-            return {key: _check(value.get(key, default), sub, f"{where}.{key}".lstrip("."))
-                    for key, (sub, default) in kind.items() if key in value or default is not None}
-    elif isinstance(kind, list):
-        if isinstance(value, list):
-            return [_check(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
-    elif isinstance(kind, tuple):
-        if not isinstance(value, str) and not isinstance(kind[-1], str):
-            return _check(value, kind[-1], where)
-        if value in kind:
-            return value
-    elif kind in (int, float):
-        try:
-            if (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and (kind is float or value == int(value))):
-                return kind(value)
-        except (ValueError, OverflowError):
-            pass
-    elif isinstance(value, kind):
-        return value
-    raise ConfigError(f"bad value {value!r} for '{where or 'config'}'")
-
-
 def _measure(doc: dict) -> rl.MeasureSpec:
     """The measure section, whose kind picks the keys it takes."""
-    factory, keys = _MEASURES[_check(doc.get("kind", REQUIRED), tuple(_MEASURES), "measure.kind")]
-    args = _check({key: v for key, v in doc.items() if key != "kind"}, keys, "measure")
+    factory, keys = _MEASURES[mm._check(doc.get("kind", mm.REQUIRED), tuple(_MEASURES),
+                                        "measure.kind", ConfigError)]
+    args = mm._check({key: v for key, v in doc.items() if key != "kind"}, keys, "measure",
+                     ConfigError)
     try:
         return factory(**args)
     except ValueError as exc:
@@ -216,21 +180,21 @@ class ExperimentConfig:
 
     @classmethod
     def parse(cls, doc: dict) -> "ExperimentConfig":
-        cfg = _check(doc, _SCHEMA, "")
+        cfg = mm._check(doc, _SCHEMA, "", ConfigError)
         if "model" in cfg and len(cfg["model"]) != 1:
             raise ConfigError("'model' needs exactly one of file | inline | synthetic")
         budget = cfg["budget"]
         synthetic_d = cfg.get("model", {}).get("synthetic", {}).get("d", 2)
         for key, ok, rule in (
-                ("budget", budget == "uniform"
-                 or budget and all(0.0 < b < math.inf for b in budget),
-                 "\"uniform\" or a list of positive finite shares"),
+                ("budget", budget == "uniform" or budget and all(b > 0.0 for b in budget),
+                 "\"uniform\" or a list of positive shares"),
                 ("optimizers", cfg["optimizers"], "a nonempty list"),
                 ("samples", cfg["samples"] >= 1, ">= 1"),
                 ("replications", cfg["replications"] >= 1, ">= 1"),
                 ("model.synthetic.d", 2 <= synthetic_d <= MAX_D, f"a size from 2 to {MAX_D}"),
-                ("dimensions", all(2 <= d <= MAX_D for d in cfg["dimensions"]),
-                 f"a list of sizes from 2 to {MAX_D}"),
+                ("dimensions", cfg["dimensions"] and all(2 <= d <= MAX_D
+                                                         for d in cfg["dimensions"]),
+                 f"a nonempty list of sizes from 2 to {MAX_D}"),
                 ("tolerance", cfg["tolerance"] > 0.0, "positive"),
                 ("epsilons", all(e > 0.0 for e in cfg["epsilons"]), "a list of positive numbers")):
             if not ok:
@@ -251,7 +215,7 @@ class ExperimentConfig:
         try:
             if "file" in spec:
                 return mm.MixtureModel.load(spec["file"])
-            return mm.MixtureModel.from_dict(spec["inline"], "model.inline.")
+            return mm.MixtureModel.from_dict(spec["inline"], "model.inline")
         except (OSError, ValueError) as exc:  # ModelError, bad JSON or UTF-8, a NUL in the path
             source = f"model file {spec['file']}" if "file" in spec else "inline model"
             raise ConfigError(f"bad {source}: {exc}") from exc

@@ -48,24 +48,52 @@ class NumericsError(RuntimeError):
     """A semi-analytic routine failed to attain its stated tolerance."""
 
 
-# JSON model key -> the dimensions of its value: 0 a number, 1 a vector, 2 a
-# matrix (a list of equal-length vectors), None a boolean flag
-_MODEL_KEYS = {"weight": 0, "nu1": 0, "nu2": 0, "mu1": 1, "mu2": 1, "lambda1": 2, "lambda2": 2,
-               "gaussian1": None, "gaussian2": None}
+REQUIRED = object()  # default of a key that must be given
 
 
-def _json_value(value, ndim: int | None):
-    """``value`` checked against ``ndim`` (see _MODEL_KEYS): numbers must be
-    finite JSON numbers, not booleans, and become floats or arrays."""
-    if ndim is None:
-        if isinstance(value, bool):
+def _check(value, kind, where: str, error=ModelError):
+    """Copy of the JSON value ``value`` checked against ``kind``, with the
+    defaults of its tables filled in.  A kind is a type (int, float, bool, str
+    or dict), a tuple of the allowed strings (optionally ending in the kind
+    that any other value must have), [kind] for a list, or a table: a dict
+    key -> (kind, default), where a default of None leaves the key absent and
+    REQUIRED makes it mandatory.  Numbers must be finite JSON numbers, not
+    booleans or strings, and an int must be integral; an ``error`` names the
+    first bad key by its dotted path ``where``."""
+    if value is REQUIRED:
+        raise error(f"missing key '{where}'")
+    if isinstance(kind, dict):
+        if isinstance(value, dict):
+            unknown = set(value) - set(kind)
+            if unknown:
+                raise error(f"unknown key(s) {sorted(unknown)} in {where or 'config'}")
+            return {key: _check(value.get(key, default), sub, f"{where}.{key}".lstrip("."), error)
+                    for key, (sub, default) in kind.items() if key in value or default is not None}
+    elif isinstance(kind, list):
+        if isinstance(value, list):
+            return [_check(item, kind[0], f"{where}[{i}]", error) for i, item in enumerate(value)]
+    elif isinstance(kind, tuple):
+        if not isinstance(value, str) and not isinstance(kind[-1], str):
+            return _check(value, kind[-1], where, error)
+        if value in kind:
             return value
-    elif ndim == 0:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    elif isinstance(value, list):
-        return np.array([_json_value(v, ndim - 1) for v in value])  # ragged: ValueError
-    raise TypeError("wrong type")
+    elif kind in (int, float):
+        try:
+            if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and (math.isfinite(value) if kind is float else value == int(value))):
+                return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise error(f"bad value {value!r} for '{where or 'config'}'")
+
+
+# The JSON form of a MixtureModel, in _check's kinds and in to_dict's key order
+_MODEL_SCHEMA = {"weight": (float, REQUIRED), "mu1": ([float], REQUIRED),
+                 "mu2": ([float], REQUIRED), "lambda1": ([[float]], REQUIRED),
+                 "lambda2": ([[float]], REQUIRED), "nu1": (float, REQUIRED),
+                 "nu2": (float, REQUIRED), "gaussian1": (bool, False), "gaussian2": (bool, False)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +111,11 @@ class MixtureModel:
     gaussian2: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mu1", np.asarray(self.mu1, dtype=float))
-        object.__setattr__(self, "mu2", np.asarray(self.mu2, dtype=float))
-        object.__setattr__(self, "lambda1", np.asarray(self.lambda1, dtype=float))
-        object.__setattr__(self, "lambda2", np.asarray(self.lambda2, dtype=float))
+        for name in ("mu1", "mu2", "lambda1", "lambda2"):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            except ValueError as exc:  # a ragged matrix
+                raise ModelError(f"{name} is not a numeric array: {exc}") from exc
         if not (0.0 < self.weight <= 1.0):
             raise ModelError(f"weight must lie in (0, 1], got {self.weight}")
         if self.mu1.ndim != 1:
@@ -131,37 +160,14 @@ class MixtureModel:
         return cls(1.0, mu, mu, lam, lam, 4.0, 4.0, gaussian1=True, gaussian2=True)
 
     def to_dict(self) -> dict:
-        return {
-            "weight": self.weight,
-            "mu1": self.mu1.tolist(),
-            "mu2": self.mu2.tolist(),
-            "lambda1": self.lambda1.tolist(),
-            "lambda2": self.lambda2.tolist(),
-            "nu1": self.nu1,
-            "nu2": self.nu2,
-            "gaussian1": self.gaussian1,
-            "gaussian2": self.gaussian2,
-        }
+        fields = {key: getattr(self, key) for key in _MODEL_SCHEMA}
+        return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in fields.items()}
 
     @classmethod
-    def from_dict(cls, doc: dict, where: str = "") -> "MixtureModel":
-        """Model from its JSON form; a ModelError names the first bad key,
-        prefixed by ``where``."""
-        if not isinstance(doc, dict):
-            raise ModelError(f"model must be a JSON object, got {doc!r}")
-        unknown = set(doc) - set(_MODEL_KEYS)
-        if unknown:
-            raise ModelError(f"unknown model keys: {sorted(unknown)}")
-        missing = set(_MODEL_KEYS) - set(doc) - {"gaussian1", "gaussian2"}
-        if missing:
-            raise ModelError(f"missing model keys: {sorted(missing)}")
-        fields = {}
-        for key, value in doc.items():
-            try:
-                fields[key] = _json_value(value, _MODEL_KEYS[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ModelError(f"bad value {value!r} for '{where}{key}'") from exc
-        return cls(**fields)
+    def from_dict(cls, doc: dict, where: str = "model") -> "MixtureModel":
+        """Model from its JSON form (_MODEL_SCHEMA); a ModelError names the
+        first bad key by its dotted path below ``where``."""
+        return cls(**_check(doc, _MODEL_SCHEMA, where))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

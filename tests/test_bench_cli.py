@@ -119,10 +119,14 @@ def test_bad_json_config(tmp_path):
     (("model", "inline", "lambda1"), [9e-5, 3e-5, 5e-5]),
     (("input",), 5),
     (("optimizer", "y0"), [[1.0, 1.0, 1.0]]),
+    (("optimizer", "m_cap"), math.inf),
+    (("optimizer", "xi0"), math.nan),
+    (("model", "inline", "nu1"), math.inf),
 ], ids=["samples-null", "seed-null", "replications-list", "epsilons-number", "epochs-null",
         "inline-number", "weight-null", "nu1-list", "gaussian1-string", "samples-fraction",
         "epochs-fraction", "record-every-fraction", "seed-bool", "alpha-bool",
-        "mu1-null-entry", "mu1-string", "lambda1-flat", "input-number", "y0-nested"])
+        "mu1-null-entry", "mu1-string", "lambda1-flat", "input-number", "y0-nested",
+        "m-cap-infinity", "xi0-nan", "nu1-infinity"])
 def test_wrong_value_type_is_a_config_error(capsys, tmp_path, path, value):
     doc = run_config(tmp_path)
     set_path(doc, path, value)
@@ -180,8 +184,10 @@ def test_usage_errors_are_one_line(capsys, argv):
     ("compare", ("optimizer", "algorithm"), "bogus"),
     ("compare", ("model", "synthetic", "d"), 1001),
     ("compare", ("dimensions",), [10, 1001]),
+    ("reference", ("tolerance",), math.inf),
+    ("compare", ("dimensions",), []),
 ], ids=["tolerance-negative", "reference-algorithm", "compare-algorithm", "synthetic-d-too-large",
-        "dimensions-too-large"])
+        "dimensions-too-large", "tolerance-infinity", "dimensions-empty"])
 def test_out_of_range_values_rejected_at_parse(capsys, tmp_path, command, path, value):
     doc = run_config(tmp_path) if command == "reference" else compare_config()
     set_path(doc, path, value)

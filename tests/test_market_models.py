@@ -48,6 +48,11 @@ def test_model_roundtrip(tmp_path, bench_model):
         mm.MixtureModel.from_dict({"weight": 1.0})
     with pytest.raises(mm.ModelError):
         mm.MixtureModel.from_dict({**bench_model.to_dict(), "extra": 1})
+    with pytest.raises(mm.ModelError, match="lambda1"):
+        mm.MixtureModel.from_dict({**bench_model.to_dict(), "lambda1": [[1.0, 0.0], [0.0]]})
+    # the key order of the saved file
+    assert list(bench_model.to_dict()) == ["weight", "mu1", "mu2", "lambda1", "lambda2",
+                                           "nu1", "nu2", "gaussian1", "gaussian2"]
 
 
 # ---------------------------------------------------------------------------
