@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,7 @@ def generate_model(d: int, seed: int) -> mm.MixtureModel:
 # None leaves the key absent, and the command that reads it resolves it: as
 # the comment says, and model.synthetic.seed to the run's seed.
 _SCHEMA = {
-    "model": ({"file": (str, None), "inline": (dict, None),  # exactly one of the three
+    "model": ({"file": (str, None), "inline": (mm._MODEL_SCHEMA, None),  # exactly one of the three
                "synthetic": ({"d": (int, mm.REQUIRED), "seed": (int, None)}, None)},
               None),                         # reference and run: required
     "budget": (("uniform", [float]), "uniform"),
@@ -183,18 +184,19 @@ class ExperimentConfig:
         cfg = mm._check(doc, _SCHEMA, "", ConfigError)
         if "model" in cfg and len(cfg["model"]) != 1:
             raise ConfigError("'model' needs exactly one of file | inline | synthetic")
-        budget = cfg["budget"]
+        budget, opts, dims = cfg["budget"], cfg["optimizers"], cfg["dimensions"]
         synthetic_d = cfg.get("model", {}).get("synthetic", {}).get("d", 2)
         for key, ok, rule in (
                 ("budget", budget == "uniform" or budget and all(b > 0.0 for b in budget),
                  "\"uniform\" or a list of positive shares"),
-                ("optimizers", cfg["optimizers"], "a nonempty list"),
+                ("optimizers", opts and len(set(opts)) == len(opts),
+                 "a nonempty list without repeats"),
                 ("samples", cfg["samples"] >= 1, ">= 1"),
                 ("replications", cfg["replications"] >= 1, ">= 1"),
                 ("model.synthetic.d", 2 <= synthetic_d <= MAX_D, f"a size from 2 to {MAX_D}"),
-                ("dimensions", cfg["dimensions"] and all(2 <= d <= MAX_D
-                                                         for d in cfg["dimensions"]),
-                 f"a nonempty list of sizes from 2 to {MAX_D}"),
+                ("dimensions", dims and len(set(dims)) == len(dims)
+                 and 2 <= min(dims) <= max(dims) <= MAX_D,
+                 f"a nonempty list of sizes from 2 to {MAX_D} without repeats"),
                 ("tolerance", cfg["tolerance"] > 0.0, "positive"),
                 ("epsilons", all(e > 0.0 for e in cfg["epsilons"]), "a list of positive numbers")):
             if not ok:
@@ -215,7 +217,7 @@ class ExperimentConfig:
         try:
             if "file" in spec:
                 return mm.MixtureModel.load(spec["file"])
-            return mm.MixtureModel.from_dict(spec["inline"], "model.inline")
+            return mm.MixtureModel(**spec["inline"])
         except (OSError, ValueError) as exc:  # ModelError, bad JSON or UTF-8, a NUL in the path
             source = f"model file {spec['file']}" if "file" in spec else "inline model"
             raise ConfigError(f"bad {source}: {exc}") from exc
@@ -444,24 +446,18 @@ def run_replication(config: ExperimentConfig, d: int, index: int):
     return rows
 
 
-def _replication_worker(args):
-    doc, d, index = args
-    return run_replication(ExperimentConfig.parse(doc), d, index)
-
-
 def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int, threads: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(config.raw, d, i) for d in config.dimensions
-             for i in range(config.replications)]
+    tasks = [(d, i) for d in config.dimensions for i in range(config.replications)]
     threads = min(threads, len(tasks))  # a pool forks all its workers at once
     if threads > 1:
         # imported here: a serial run need not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            nested = list(pool.map(_replication_worker, tasks))
+            nested = list(pool.map(run_replication, repeat(config), *zip(*tasks)))
     else:
-        nested = [_replication_worker(t) for t in tasks]
+        nested = [run_replication(config, d, i) for d, i in tasks]
     rows = [row for group in nested for row in group]
     rows.sort(key=lambda r: (r["optimizer"], r["d"], r["seed"]))
 

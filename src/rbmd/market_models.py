@@ -164,10 +164,10 @@ class MixtureModel:
         return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in fields.items()}
 
     @classmethod
-    def from_dict(cls, doc: dict, where: str = "model") -> "MixtureModel":
+    def from_dict(cls, doc: dict) -> "MixtureModel":
         """Model from its JSON form (_MODEL_SCHEMA); a ModelError names the
-        first bad key by its dotted path below ``where``."""
-        return cls(**_check(doc, _MODEL_SCHEMA, where))
+        first bad key by its dotted path below ``model``."""
+        return cls(**_check(doc, _MODEL_SCHEMA, "model"))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

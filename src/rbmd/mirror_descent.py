@@ -305,34 +305,30 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
     y = rows[0]
     diverged = False
     grad_norm = math.inf
-    done = 0
-    for k in range(1, cfg.iterations + 1):
-        gamma = step_size(cfg.schedule, k)
+    for k in range(cfg.iterations + 1):  # y is y^k
         tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
         if not np.all(np.isfinite(tg)):
-            diverged = True
+            diverged = k < cfg.iterations  # at the last iterate, the norm just reads inf
+            grad_norm = grad_norm if diverged else math.inf
             break
         grad_norm = float(np.abs(tg).max())
-        if cfg.grad_tol is not None and grad_norm <= cfg.grad_tol:
+        if k == cfg.iterations or cfg.grad_tol is not None and grad_norm <= cfg.grad_tol:
             break
+        gamma = step_size(cfg.schedule, k + 1)
         y, projected, _ = _prox(y, tg * -gamma, cfg.m_cap, rows[n + 1])
         gammas[n] = gamma
         n += 1
         wsum += gamma
         if projected:
-            run.projection_iters.append(k)
-        done = k
-        if k == record_at or n == full:
+            run.projection_iters.append(k + 1)
+        if k + 1 == record_at or n == full:
             run.flush(n, wsum)
-            if k == record_at:
-                record_at = run.record(k)
+            if k + 1 == record_at:
+                record_at = run.record(k + 1)
             n = 0
             y = rows[0]
-    else:
-        tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
-        grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
     run.flush(n, wsum)
-    return run.result(None, diverged, done, grad_norm)
+    return run.result(None, diverged, k, grad_norm)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging run overflows; it is flagged

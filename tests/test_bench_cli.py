@@ -186,8 +186,11 @@ def test_usage_errors_are_one_line(capsys, argv):
     ("compare", ("dimensions",), [10, 1001]),
     ("reference", ("tolerance",), math.inf),
     ("compare", ("dimensions",), []),
+    ("compare", ("dimensions",), [10, 10]),
+    ("compare", ("optimizers",), ["smd", "smd"]),
 ], ids=["tolerance-negative", "reference-algorithm", "compare-algorithm", "synthetic-d-too-large",
-        "dimensions-too-large", "tolerance-infinity", "dimensions-empty"])
+        "dimensions-too-large", "tolerance-infinity", "dimensions-empty", "dimensions-repeated",
+        "optimizers-repeated"])
 def test_out_of_range_values_rejected_at_parse(capsys, tmp_path, command, path, value):
     doc = run_config(tmp_path) if command == "reference" else compare_config()
     set_path(doc, path, value)
@@ -197,6 +200,23 @@ def test_out_of_range_values_rejected_at_parse(capsys, tmp_path, command, path, 
     assert code == 1
     assert_one_error_line(err)
     assert ".".join(path) in err
+
+
+@pytest.mark.parametrize("command", ["compare", "figure-data"])
+def test_inline_model_checked_by_commands_that_build_none(capsys, tmp_path, command):
+    """``compare`` generates its models and ``figure-data`` builds none, yet
+    both check an inline model's keys when they read the config."""
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    traces.joinpath("trace.csv").write_text("iter,gamma,gap,xi,y_1\n1,1,0.5,0,1\n")
+    doc = dict(compare_config(), optimizers=["smd"], samples=200, replications=1,
+               input=str(traces), model={"inline": dict(bench_model_dict(), weight=math.nan)})
+    code = bc.main([command, "--config", write_config(tmp_path, doc),
+                    "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert_one_error_line(err)
+    assert "model.inline.weight" in err
 
 
 @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")],
@@ -223,8 +243,7 @@ def schema_paths(table, prefix=()):
 
 CONFIG_PATHS = (list(schema_paths(bc._SCHEMA))
                 + [("measure", key) for key in ["kind"] + sorted(
-                    {k for _, keys in bc._MEASURES.values() for k in keys})]
-                + [("model", "inline", key) for key in bench_model_dict()])
+                    {k for _, keys in bc._MEASURES.values() for k in keys})])
 
 # Any value a JSON document can hold, as Python's json module reads it.
 JSON_VALUES = st.recursive(
@@ -640,8 +659,8 @@ def test_cmd_compare_asks_for_at_most_one_worker_per_task(tmp_path, monkeypatch)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
     from concurrent.futures import ProcessPoolExecutor

@@ -802,18 +802,44 @@ _DMD_ORACLE_GRID = [
 ]
 
 
-@_BLOCKS
-@pytest.mark.parametrize("measure,d,gamma0,m_cap,grad_tol,branches", _DMD_ORACLE_GRID)
-def test_dmd_runs_match_plain_oracle_bit_for_bit(measure, d, gamma0, m_cap, grad_tol,
-                                                 branches, block):
+def _dmd_case(measure, d, gamma0, m_cap, grad_tol=None):
+    """Context and 40-step config of one _DMD_ORACLE_GRID case."""
     model = generate_model(d, 40 + d)
     ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d), _MEASURES[measure], model)
     cfg = md.OptimizerConfig(m_cap=m_cap, schedule=md.StepSchedule.constant(gamma0),
                              iterations=40, y0=rb.default_y0(model, m_cap), record_every=7,
                              grad_tol=grad_tol)
+    return ctx, cfg
+
+
+@_BLOCKS
+@pytest.mark.parametrize("measure,d,gamma0,m_cap,grad_tol,branches", _DMD_ORACLE_GRID)
+def test_dmd_runs_match_plain_oracle_bit_for_bit(measure, d, gamma0, m_cap, grad_tol,
+                                                 branches, block):
+    ctx, cfg = _dmd_case(measure, d, gamma0, m_cap, grad_tol)
     with np.errstate(all="ignore"):
         want, hits = _reference_dmd_run(ctx, cfg)
         got = md.dmd_run(ctx, cfg)
     assert branches <= hits, hits
+    for name in vars(want):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+
+
+@_BLOCKS
+@pytest.mark.parametrize("measure,d,gamma0,m_cap,steps", [("es", 3, 5e4, 100.0, 1),
+                                                          ("variantile", 10, 30.0, 1e7, 20)])
+def test_dmd_nonfinite_gradient_at_the_last_iterate_is_no_divergence(measure, d, gamma0, m_cap,
+                                                                     steps, block):
+    """Two diverging _DMD_ORACLE_GRID cases, given exactly the steps after
+    which their gradient turns non-finite: the run takes them all, is not
+    diverged and reads grad_norm inf, as the oracle does."""
+    ctx, cfg = _dmd_case(measure, d, gamma0, m_cap)
+    with np.errstate(all="ignore"):
+        longer = md.dmd_run(ctx, cfg)
+        assert longer.diverged and longer.iterations == steps
+        cfg = dataclasses.replace(cfg, iterations=steps)
+        want, _ = _reference_dmd_run(ctx, cfg)
+        got = md.dmd_run(ctx, cfg)
+    assert not got.diverged and got.iterations == steps and got.grad_norm == math.inf
     for name in vars(want):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
