@@ -10,7 +10,10 @@ median.  ``test_var_cost`` times one ``var_exact`` call at alpha = 0.95 for
 the equal-weight portfolio of the README mixture and of the d = 50 desk model
 (synthetic, seed 2024); ``test_tail_kernel_cost`` times ``es_exact`` (alpha =
 0.95) and ``expected_power_loss`` (p = 1 and 2, about the 0.75 quantile) for
-the same two portfolios.  ``test_sampling_cost`` draws 100,000 return vectors
+the same two portfolios.  ``test_gamma_cost`` evaluates Gamma (ES 95%) at 5,000
+portfolios near equal weight on the same two models, one ``gamma_value`` call
+each ("scalar") or one ``gamma_values`` call on their stack ("batched"), and
+records ``extra_info["us_per_portfolio"]``.  ``test_sampling_cost`` draws 100,000 return vectors
 with ``sample_returns`` from the synthetic (seed 2024) models at d = 3, 10 and
 50 and records ``extra_info["draws_per_s"]`` and ``extra_info["peak_mb"]``,
 the ``tracemalloc`` peak of one call in MiB, result included.
@@ -98,6 +101,26 @@ def test_tail_kernel_cost(benchmark, model, kernel):
     value = benchmark.pedantic(fn, args=args, rounds=500, warmup_rounds=5)
     assert np.isfinite(value) and value > 0.0
     benchmark.extra_info["us_per_call"] = median_s(benchmark) * 1e6
+
+
+N_PORTFOLIOS = 5_000
+
+
+@pytest.mark.parametrize("mode", ["scalar", "batched"])
+@pytest.mark.parametrize("model", [README_MODEL, DESK_MODEL], ids=["mixture", "desk"])
+def test_gamma_cost(benchmark, model, mode):
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(model.d),
+                              rl.MeasureSpec.expected_shortfall(0.95), model)
+    ys = np.exp(np.random.default_rng(3).normal(0.0, 0.2, (N_PORTFOLIOS, model.d)))
+    if mode == "scalar":
+        def run():
+            return np.array([rb.gamma_value(ctx, y) for y in ys])
+    else:
+        def run():
+            return rb.gamma_values(ctx, ys)
+    values = benchmark.pedantic(run, rounds=3, warmup_rounds=1)
+    assert np.all(np.isfinite(values))
+    benchmark.extra_info["us_per_portfolio"] = median_s(benchmark) / N_PORTFOLIOS * 1e6
 
 
 @pytest.mark.parametrize("d", [3, 10, 50], ids=lambda d: f"d{d}")

@@ -443,13 +443,6 @@ def _t_tail_ex2(q: float, nu: float) -> float:
     return nu * ((nu - 1.0) / (nu - 2.0) * _t_sf(q * shrink, nu - 2.0) - _t_sf(q, nu))
 
 
-def _map_floats(fn, x) -> np.ndarray:
-    """The float ``fn`` applied to each element of the array ``x`` as a Python
-    float; the results keep the shape of ``x``."""
-    x = np.asarray(x, dtype=float)
-    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-
-
 def upper_moments(q: float, gaussian: bool, nu: float, k: int) -> tuple:
     """(E[(T - q)_+^k], E[T (T - q)_+^k]) of the standardized component T for
     k in {0, 1}, with (T - q)_+^0 = 1{T > q}; a t component needs nu > k + 1."""
@@ -503,11 +496,13 @@ def _mixture_eval(x: float, comps, density: bool = False) -> float:
 
 
 def mixture_cdf(params: LossLawParams, x):
-    """CDF of the loss mixture at x: a float, or an array of the shape of x."""
+    """CDF of the loss mixture at x: a float, or an array of the shape of x
+    (by ``market_batch``'s array kernel)."""
     comps = params.components()
     if np.ndim(x) == 0:
         return _mixture_eval(float(x), comps)
-    return _map_floats(lambda v: _mixture_eval(v, comps), x)
+    from . import market_batch  # loaded on first use: see its docstring
+    return market_batch._mixture_eval_rows(np.asarray(x, dtype=float), comps)
 
 
 def _newton_quantile(comps, alpha: float, lo: float, hi: float, q: float, tol: float) -> float:
@@ -651,3 +646,4 @@ def expectile(params: LossLawParams, tau: float) -> float:
             return x - step
         x, last = x - step, step
     raise NumericsError(f"expectile Newton did not converge at tau = {tau}")
+

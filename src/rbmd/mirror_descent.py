@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import market_models as mm
 from . import rb_solver as rb
 from . import risk_loss as rl
 
@@ -107,7 +106,9 @@ class RunResult:
 
     The traces hold ``(k, value)`` every ``record_every`` steps and end at the
     returned iterate, step ``iterations``; a diverged run's ``gap_trace`` ends
-    with ``(iterations, inf)``.  ``gamma_sum`` is the step sum behind
+    with ``(iterations, inf)``.  The gaps are evaluated after the run's loop,
+    in one ``rb.gamma_values`` call on the recorded iterates, so they never
+    feed back into the run.  ``gamma_sum`` is the step sum behind
     ``y_weighted_avg``, ``projection_iters`` the capped steps.  DMD reports
     NaN xi, the stochastic runs NaN ``grad_norm``.
     """
@@ -187,16 +188,17 @@ class _Run:
     block's step j straight into row j and its step size into
     ``gammas[j - 1]``.  Between flushes the runner keeps the block's step
     count n, the step sum and the xi tail sum as locals, each a sequential
-    scalar sum; it hands them over only at ``flush``, on a record, on a full
-    block and at the end.  ``flush`` keeps the gamma-weighted sum of the
-    iterates steps start from, the tail sum of the iterates from step
-    ``tail_start`` on and the least coordinate of the block's iterates.  It
-    reduces each sum over the block with the running sum in its first row; an
-    axis-0 reduction of a C-contiguous array adds the rows in order, so the
-    sums equal per-step ``+=`` updates bit for bit.  The least coordinate
-    skips an iterate with a NaN coordinate, as a per-step ``<`` test on its
-    min would.  A record falls every ``record_every`` steps and at step
-    ``total``; ``record`` returns the next one.  xi is None for DMD."""
+    scalar sum; it hands them over only at ``flush``, on a full block and at
+    the end.  ``flush`` keeps the gamma-weighted sum of the iterates steps
+    start from, the tail sum of the iterates from step ``tail_start`` on and
+    the least coordinate of the block's iterates.  It sums each over the block
+    with the running sum in its first row; an axis-0 reduction or
+    accumulation of a C-contiguous array adds the rows in order, so the sums,
+    and the weighted sum at each of the block's rows, equal per-step ``+=``
+    updates bit for bit.  The least coordinate skips an iterate with a NaN
+    coordinate, as a per-step ``<`` test on its min would.  A record falls
+    every ``record_every`` steps and at step ``total``; ``record`` notes its
+    row, and ``flush`` keeps its iterate and average.  xi is None for DMD."""
 
     def __init__(self, ctx, cfg: OptimizerConfig, total: int, gamma_star, y0):
         self.ctx = ctx
@@ -216,15 +218,16 @@ class _Run:
         self.tail_n = 0
         self.xi_tail = 0.0
         self.min_under = float(y0.min())
-        self.gap_trace = []
+        self.pending = []  # (row, k, xi, step sum) of the block's records
         self.y_trace = []
         self.avg_trace = []
         self.xi_trace = []
         self.projection_iters = []
 
     def flush(self, n: int, wsum: float, xi_tail: float = 0.0):
-        """Book the block's n steps, with the step sum and xi tail sum over
-        the whole run so far, and start a new block from its last iterate."""
+        """Book the block's n steps and records, with the step sum and xi
+        tail sum over the whole run so far, and start a new block from its
+        last iterate."""
         self.wsum = wsum
         self.xi_tail = xi_tail
         if n == 0:
@@ -232,7 +235,11 @@ class _Run:
         block, acc = self.block, self.addends
         acc[0] = self.wacc
         np.multiply(self.gammas[:n, None], block[:n], out=acc[1:n + 1])
-        np.add.reduce(acc[:n + 1], axis=0, out=self.wacc)
+        np.add.accumulate(acc[:n + 1], axis=0, out=acc[:n + 1])
+        self.wacc[:] = acc[n]
+        for j, k, xi, s in self.pending:
+            self._book(k, block[j], acc[j], s, xi)
+        self.pending.clear()
         first = max(self.tail_start - self.k0, 1)
         if first <= n:
             acc[first - 1] = self.tail_acc
@@ -245,35 +252,33 @@ class _Run:
         block[0] = block[n]
         self.k0 += n
 
-    def record(self, k: int, xi=None) -> int:
-        """Record at step k, from the iterate in row 0 (flush first); returns
-        the step of the next record."""
-        y = self.rows[0]
-        try:
-            gap = rb.gamma_value(self.ctx, y) - self.base
-        except ValueError:  # y left the open orthant: the run blew up
-            gap = math.inf
-        except mm.NumericsError:  # the objective cannot be evaluated here
-            gap = math.nan
-        self.gap_trace.append((k, gap))
+    def record(self, j: int, k: int, xi, wsum: float) -> int:
+        """Note a record of step k, whose iterate is the block's row j, at the
+        step sum wsum; returns the step of the next record."""
+        self.pending.append((j, k, xi, wsum))
+        return min(k + self.record_every, self.total)
+
+    def _book(self, k: int, y, acc, wsum: float, xi):
+        """Keep the record of step k: y, the average acc / wsum and xi."""
         self.y_trace.append((k, y.copy()))
-        if self.wsum > 0.0:
-            self.avg_trace.append((k, self.wacc / self.wsum))
+        if wsum > 0.0:
+            self.avg_trace.append((k, acc / wsum))
         if xi is not None:
             self.xi_trace.append((k, xi))
-        return min(k + self.record_every, self.total)
 
     def result(self, xi, diverged: bool, iterations: int,
                grad_norm: float = math.nan) -> RunResult:
         """The trace ends at the returned iterate, the last one booked (flush
         first): a run that stopped early (DMD on ``grad_tol``) records it at
-        step ``iterations``.  A run whose last record reads +inf (its loss law
-        overflowed) is diverged, and a diverged run's trace ends with one
-        ``(iterations, inf)``."""
+        step ``iterations``.  The gaps of all records are evaluated here, in
+        one ``rb.gamma_values`` call.  A run whose last record reads +inf (its
+        loss law overflowed) is diverged, and a diverged run's trace ends with
+        one ``(iterations, inf)``."""
         y = self.rows[0].copy()
-        trace = self.gap_trace
-        if not diverged and (not trace or trace[-1][0] != iterations):
-            self.record(iterations, xi)
+        if not diverged and (not self.y_trace or self.y_trace[-1][0] != iterations):
+            self._book(iterations, self.rows[0], self.wacc, self.wsum, xi)
+        gaps = rb.gamma_values(self.ctx, [y_k for _, y_k in self.y_trace]) - self.base
+        trace = [(k, gap) for (k, _), gap in zip(self.y_trace, gaps.tolist())]
         if trace[-1:] == [(iterations, math.inf)]:
             diverged = True
         elif diverged:
@@ -321,10 +326,10 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
         wsum += gamma
         if projected:
             run.projection_iters.append(k + 1)
-        if k + 1 == record_at or n == full:
+        if k + 1 == record_at:
+            record_at = run.record(n, k + 1, None, wsum)
+        if n == full:
             run.flush(n, wsum)
-            if k + 1 == record_at:
-                record_at = run.record(k + 1)
             n = 0
             y = rows[0]
     run.flush(n, wsum)
@@ -463,10 +468,10 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
             if k >= tail_start:
                 xi_tail += xi
             y = nxt
-            if k == record_at or n == full:
+            if k == record_at:
+                record_at = run.record(n, k, xi, wsum)
+            if n == full:
                 run.flush(n, wsum, xi_tail)
-                if k == record_at:
-                    record_at = run.record(k, xi)
                 n = 0
                 y = rows[0]
                 up, low = float(_sum(y)) * slack, y.item(y.argmin())

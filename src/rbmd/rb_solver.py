@@ -24,6 +24,7 @@ __all__ = [
     "ObjectiveContext",
     "PortfolioReport",
     "gamma_value",
+    "gamma_values",
     "gamma_gradient",
     "tamed_gradient",
     "normalize",
@@ -122,6 +123,24 @@ class ObjectiveContext:
         return mm.expected_power_loss(params, m.a_plus, m.b_minus, m.p_power,
                                       self._xi_star(params))
 
+    def outer_values(self, ys: np.ndarray) -> np.ndarray:
+        """``outer_value`` at each row of the (K, d) array ys on the array
+        kernels: inf for a row whose loss law ``portfolio_loss_params``
+        rejects, nan where ``outer_value`` raises NumericsError."""
+        from . import market_batch as mb  # loaded on first use: see its docstring
+        m = self.measure
+        ok, comps = mb.portfolio_loss_rows(self.model, ys)
+        if m.is_es:
+            values = mb.es_rows(comps, m.alpha)
+        else:
+            a, b = m.a_plus, m.b_minus
+            xi = (mb.var_rows(comps, a / (a + b)) if m.p_power == 1
+                  else mb.expectile_rows(comps, a * a / (a * a + b * b)))
+            values = mb.expected_power_loss_rows(comps, a, b, m.p_power, xi)
+        out = np.full(len(ok), math.inf)
+        out[ok] = values
+        return out
+
     def risk_value(self, y: np.ndarray) -> float:
         """r(y) = rho(-<y, X>)."""
         return rl.rho_from_expected_loss(self.measure, self.outer_value(y))
@@ -187,6 +206,20 @@ def gamma_value(ctx: ObjectiveContext, y: np.ndarray) -> float:
     """Gamma(y) = g(r(y)) - sum_i b_i log y_i on the open orthant."""
     y = _require_interior(y)
     return ctx.outer_value(y) - float(ctx.budget.b @ np.log(y))
+
+
+def gamma_values(ctx: ObjectiveContext, ys) -> np.ndarray:
+    """``gamma_value`` at each row of the (K, d) array ys, in one pass of the
+    array kernels: inf where it raises ValueError (a row off the open
+    orthant, or a loss law with a non-finite or non-positive location or
+    scale), nan where it raises NumericsError."""
+    ys = np.asarray(ys, dtype=float).reshape(-1, ctx.d)
+    out = np.full(len(ys), math.inf)
+    with np.errstate(all="ignore"):
+        rows = np.flatnonzero(np.all((ys > 0.0) & (ys < math.inf), axis=1))
+        y = ys[rows]
+        out[rows] = ctx.outer_values(y) - np.log(y) @ ctx.budget.b
+    return out
 
 
 def gamma_gradient(ctx: ObjectiveContext, y: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from rbmd import market_batch as mb
 from rbmd import market_models as mm
 from rbmd.bench_cli import generate_model
 
@@ -266,6 +268,66 @@ def test_kernel_edge_values(gaussian, nu):
         q = mm._std_quantile(gaussian, nu, alpha)
         tail = sf(abs(q))
         assert abs(tail - min(alpha, 1.0 - alpha)) <= 1e-12 * min(alpha, 1.0 - alpha)
+
+
+def _rows_table(kernel, points):
+    """kernel on the array of +-points in one call, as a lookup by point."""
+    grid = np.array(points + [-x for x in points])
+    return dict(zip(grid.tolist(), kernel(grid).tolist())).__getitem__
+
+
+@pytest.mark.parametrize("nu", np.geomspace(1.0001, 1e9, 61).tolist(), ids="nu{:.4g}".format)
+def test_t_tail_rows_match_scipy(nu):
+    from scipy.special import stdtr
+    points = [0.0] + np.geomspace(1e-8, 1e8, 97).tolist()
+    cdf = _rows_table(lambda t: mb._t_sf_rows(-t, nu), points)
+    assert_matches_oracle(cdf, lambda t: stdtr(nu, t), points)
+
+
+def test_normal_tail_rows_match_scipy():
+    from scipy.special import ndtr
+    points = [0.0] + np.geomspace(1e-8, 38.0, 400).tolist()
+    assert_matches_oracle(_rows_table(lambda z: mb._norm_sf_rows(-z), points), ndtr, points)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["t", "normal"])
+@pytest.mark.parametrize("nu", [1.0001, 3.4, 40.0, 1e9])
+def test_rows_kernel_edge_values(gaussian, nu):
+    """test_kernel_edge_values for the array kernels, in one call and without a
+    warning: each element as the scalar kernel gives it."""
+    extremes = [5e-324, 1e-310, 1e-160, 1e-8, 1e150, 1e154, 1e160, 1e300, sys.float_info.max]
+    t = np.array([0.0, -0.0, math.inf, -math.inf, math.nan] + extremes + [-v for v in extremes])
+    sf = mb._norm_sf_rows if gaussian else lambda x: mb._t_sf_rows(x, nu)
+    scalar = mm._norm_sf if gaussian else lambda x: mm._t_sf(x, nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sf(t)
+        moments = mb._upper_moments_rows(t, gaussian, nu, 0)
+        density = mb._mixture_eval_rows(t, [(1.0, 0.0, 1.0, gaussian, nu)], density=True)
+    assert got[0] == got[1] == 0.5 and got[2] == 0.0 and got[3] == 1.0 and math.isnan(got[4])
+    want = np.array([scalar(v) for v in t.tolist()])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    for m, m_scalar in zip(moments, zip(*[mm.upper_moments(v, gaussian, nu, 0) for v in t.tolist()])):
+        assert math.isnan(m[4]) and not np.isnan(np.delete(m, 4)).any()
+        np.testing.assert_allclose(m, m_scalar, rtol=1e-14, atol=0.0)
+    pdf = mm._norm_pdf if gaussian else lambda x: mm._t_pdf(x, nu)
+    np.testing.assert_allclose(density, [pdf(v) for v in t.tolist()], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)], ids=["0d", "1d", "2d"])
+def test_mixture_cdf_arrays_match_the_scalar_path(shape):
+    """mixture_cdf on an array, element by element against ``_mixture_eval``,
+    with NaN and +-inf entries and a Gaussian component."""
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(0.0, 0.1, shape)
+    if x.size > 3:
+        x.flat[:3] = [math.nan, math.inf, -math.inf]
+    for params in (mm.LossLawParams(0.6, 0.01, -0.02, 0.03, 0.05, 4.0, 3.0, gaussian2=True),
+                   random_loss_params(rng)):
+        got = mm.mixture_cdf(params, x)
+        want = np.array([mm._mixture_eval(v, params.components()) for v in x.ravel().tolist()])
+        assert np.shape(got) == shape
+        np.testing.assert_allclose(np.ravel(got), want, rtol=1e-14, atol=1e-16)
 
 
 def test_var_of_a_nan_law_is_a_numerics_error():

@@ -438,15 +438,12 @@ def test_prox_cap_test_matches_plain_prox_at_the_cap(d, scale):
                 assert np.float64(ymin).tobytes() == want.min().tobytes()
 
 
-def _plain_gap(ctx, y):
-    """The gap a run without a reference records: Gamma(y), inf once y left
-    the open orthant, nan where the objective cannot be evaluated."""
-    try:
-        return rb.gamma_value(ctx, y)
-    except ValueError:
-        return math.inf
-    except mm.NumericsError:
-        return math.nan
+def _gap_trace(ctx, ys):
+    """The gaps a run without a reference records at its recorded (k, y):
+    Gamma(y), inf once y left the open orthant, nan where the objective
+    cannot be evaluated, all in one ``rb.gamma_values`` call, as the runs
+    evaluate them."""
+    return list(zip([k for k, _ in ys], rb.gamma_values(ctx, [y for _, y in ys]).tolist()))
 
 
 def _end_trace(gaps, k, diverged):
@@ -474,7 +471,7 @@ def _reference_stochastic_run(rule, ctx, samples, cfg, floor_eps=1e-4):
     wsum = gamma_sum = xi_tail = 0.0
     tail_n = 0
     min_under = float(y.min())
-    gaps, ys, avgs, xis, projections = [], [], [], [], []
+    ys, avgs, xis, projections = [], [], [], []
     diverged = False
     k = 0
     for x in np.vstack([samples] * cfg.epochs):
@@ -522,12 +519,12 @@ def _reference_stochastic_run(rule, ctx, samples, cfg, floor_eps=1e-4):
             tail_n += 1
             xi_tail += xi
         if k % cfg.record_every == 0 or k == total:
-            gaps.append((k, _plain_gap(ctx, y)))
             ys.append((k, y.copy()))
             avgs.append((k, wacc / wsum))
             xis.append((k, xi))
     if not (np.all(np.isfinite(y)) and math.isfinite(xi)):
         diverged = True
+    gaps = _gap_trace(ctx, ys)
     if gaps[-1:] == [(k, math.inf)]:
         hits.add("overflow")
     diverged = _end_trace(gaps, k, diverged)
@@ -732,7 +729,7 @@ def _reference_dmd_run(ctx, cfg):
     wsum = gamma_sum = 0.0
     tail_n = done = 0
     min_under = float(y.min())
-    gaps, ys, avgs, projections = [], [], [], []
+    ys, avgs, projections = [], [], []
     diverged = converged = False
     grad_norm = math.inf
     for k in range(1, n + 1):
@@ -766,18 +763,17 @@ def _reference_dmd_run(ctx, cfg):
             tail_acc += y
             tail_n += 1
         if k % cfg.record_every == 0 or k == n:
-            gaps.append((k, _plain_gap(ctx, y)))
             ys.append((k, y.copy()))
             avgs.append((k, wacc / wsum))
     if not diverged and not converged:
         tg = rb.tamed_gradient(ctx.budget, ctx.outer_gradient(y), y)
         grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
-    if converged and (not gaps or gaps[-1][0] != done):  # the trace ends at the returned y
+    if converged and (not ys or ys[-1][0] != done):  # the trace ends at the returned y
         hits.add("final record")
-        gaps.append((done, _plain_gap(ctx, y)))
         ys.append((done, y.copy()))
         if wsum > 0.0:
             avgs.append((done, wacc / wsum))
+    gaps = _gap_trace(ctx, ys)
     diverged = _end_trace(gaps, done, diverged)
     result = md.RunResult(
         y_final=y, xi_final=math.nan,

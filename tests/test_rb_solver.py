@@ -81,6 +81,72 @@ def test_gamma_strict_convexity_probe(es_ctx):
                 < 0.5 * rb.gamma_value(es_ctx, y1) + 0.5 * rb.gamma_value(es_ctx, y2))
 
 
+_BATCH_MEASURES = {"es": rl.MeasureSpec.expected_shortfall(0.95), "mad": rl.MeasureSpec.mad(),
+                   "variantile": rl.MeasureSpec.variantile(0.75),
+                   "volatility": rl.MeasureSpec.volatility()}
+
+
+def _scalar_gammas(ctx, ys):
+    """gamma_value row by row, as the runs called it (a row whose scale
+    overflows warns): inf where it raises ValueError, nan where it raises
+    NumericsError."""
+    out = []
+    for y in ys:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out.append(rb.gamma_value(ctx, y))
+        except ValueError:
+            out.append(math.inf)
+        except mm.NumericsError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [3, 10, 50])
+@pytest.mark.parametrize("measure", list(_BATCH_MEASURES))
+def test_gamma_values_match_gamma_value(measure, d):
+    """The array kernels against the scalar path: within 1e-13 max(1, |Gamma|)
+    on random interior rows, inf on rows off the open orthant and on rows whose
+    scale overflows (1e200) or underflows to 0 (1e-200), and K = 0 and 1."""
+    rng = np.random.default_rng(d)
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(d), _BATCH_MEASURES[measure],
+                              random_mixture_model(rng, d))
+    ys = np.exp(rng.normal(0.0, 1.5, (40, d)))
+    got, want = rb.gamma_values(ctx, ys), _scalar_gammas(ctx, ys)
+    assert np.all(np.isfinite(want))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    bad = np.ones((7, d))
+    bad[0, 0], bad[1, -1], bad[2, 0], bad[3, 0], bad[4, 0] = 0.0, -1.0, math.nan, math.inf, -0.0
+    bad[5], bad[6] = 1e200, 1e-200
+    assert np.all(_scalar_gammas(ctx, bad) == math.inf)
+    mixed = rb.gamma_values(ctx, np.vstack([bad[:3], ys[:2], bad[3:]]))
+    np.testing.assert_array_equal(np.isinf(mixed), [True] * 3 + [False] * 2 + [True] * 4)
+    np.testing.assert_allclose(mixed[3:5], got[:2], rtol=1e-13)
+    assert rb.gamma_values(ctx, np.empty((0, d))).shape == (0,)
+    one = rb.gamma_values(ctx, ys[:1])
+    assert one.shape == (1,) and abs(one[0] - want[0]) <= 1e-13 * max(1.0, abs(want[0]))
+
+
+@pytest.mark.parametrize("measure, nu2", [("volatility", 1.8), ("variantile", 1.8),
+                                          ("es", math.nan), ("mad", math.nan),
+                                          ("variantile", math.nan)])
+def test_gamma_values_read_nan_where_gamma_value_raises_numerics_error(measure, nu2):
+    """A second moment of a t component with nu <= 2, and a Newton solve that
+    does not converge (a NaN nu), raise NumericsError in gamma_value and read
+    nan in gamma_values; a row gamma_value rejects with ValueError first still
+    reads inf."""
+    rng = np.random.default_rng(5)
+    m = random_mixture_model(rng, 3)
+    model = mm.MixtureModel(m.weight, m.mu1, m.mu2, m.lambda1, m.lambda2, m.nu1, nu2)
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(3), _BATCH_MEASURES[measure], model)
+    ys = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, 1.0], [1e200] * 3, [2.0, 1.0, 0.5]])
+    with pytest.raises(mm.NumericsError):
+        rb.gamma_value(ctx, ys[0])
+    got = rb.gamma_values(ctx, ys)
+    assert np.isnan(got[[0, 3]]).all() and np.all(got[[1, 2]] == math.inf)
+    np.testing.assert_array_equal(got, _scalar_gammas(ctx, ys))
+
+
 # ---------------------------------------------------------------------------
 # gamma_gradient
 # ---------------------------------------------------------------------------
