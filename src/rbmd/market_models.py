@@ -462,6 +462,7 @@ def upper_moments(q: float, gaussian: bool, nu: float, k: int) -> tuple:
 # Portfolio loss law, CDF, VaR, ES
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # LossLawParams rejects what overflows
 def portfolio_loss_params(model: MixtureModel, w: np.ndarray) -> LossLawParams:
     """Parameters of the univariate law of -<w, X>."""
     w = np.asarray(w, dtype=float)

@@ -68,18 +68,19 @@ def step_size(schedule: StepSchedule, n: int) -> float:
 class OptimizerConfig:
     """Shared knobs for all runners.
 
-    ``iterations`` drives the deterministic runs; stochastic runs derive
-    their total count as epochs * len(samples) and replay the sample matrix
-    in a fixed order.  Every run records its gap, y, weighted average and xi
-    each ``record_every`` steps and at the iterate it returns; the tail
-    average covers the last ``tail_fraction`` of the steps; ``grad_tol``
-    stops DMD once the tamed-gradient sup-norm falls to it.
+    ``iterations`` drives the deterministic runs, which require it;
+    stochastic runs ignore it, derive their total count as
+    epochs * len(samples) and replay the sample matrix in a fixed order.
+    Every run records its gap, y, weighted average and xi each
+    ``record_every`` steps and at the iterate it returns; the tail average
+    covers the last ``tail_fraction`` of the steps; ``grad_tol`` stops DMD
+    once the tamed-gradient sup-norm falls to it.
     """
 
     m_cap: float
     schedule: StepSchedule
-    iterations: int
     y0: np.ndarray
+    iterations: int | None = None
     epochs: int = 1
     xi0: float = 0.0
     record_every: int = 100
@@ -90,7 +91,8 @@ class OptimizerConfig:
         self.y0 = np.asarray(self.y0, dtype=float)
         if not (self.m_cap > 0.0):
             raise ValueError("m_cap must be positive")
-        if self.iterations < 1 or self.epochs < 1 or self.record_every < 1:
+        if (self.iterations is not None and self.iterations < 1
+                or self.epochs < 1 or self.record_every < 1):
             raise ValueError("iterations, epochs and record_every must be >= 1")
         if np.any(self.y0 <= 0.0) or not np.all(np.isfinite(self.y0)):
             raise ValueError("y0 must be strictly positive and finite")
@@ -303,6 +305,8 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
     Iterates y^{k+1} = prox(y^k, gamma_{k+1} * tamed gradient, m) and stops
     early once the tamed gradient sup-norm falls below ``cfg.grad_tol``.
     """
+    if cfg.iterations is None:
+        raise ValueError("dmd_run needs cfg.iterations")
     run = _Run(ctx, cfg, cfg.iterations, gamma_star, cfg.y0)
     rows, gammas, full = run.rows, run.gammas, _BLOCK
     record_at = min(cfg.record_every, cfg.iterations)
@@ -350,8 +354,8 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     and the step and xi tail sums stay in locals until ``_Run.flush``.
 
     Most steps take neither the sum nor the min of y.  The loop carries two
-    bounds, up >= sum y and low <= min y, both reset from the first row of
-    each new block, and certifies on them:
+    bounds, up >= sum y and low <= min y, across blocks (a new block's row
+    0 is a copy of the last row of the one before), and certifies on them:
 
     * kappa = min(low, 1): below 1, low is the exact min (for "classical",
       which takes no kappa, only below 1e-300).  A step whose new bound
@@ -365,17 +369,20 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
       exponent's rounding, 128 u for an exp within 64 ulp and u for the
       product.  The slack s = 1 + (d + 8192) 2^-52 covers that, the
       rounding of up' = up e^bound s and low' = low / (e^bound s), and the
-      pairwise sum of y that up is taken from (within d u).  If
-      low' >= 2^-1022, every product is normal, and a pairwise sum of d
-      nonnegative normal products lies within d u / (1 - d u) of their exact
-      sum (Higham 2002, sections 3.1 and 4.2).  So up' <= m (1 - 4 (d + 1) u)
-      puts the pairwise sum of the new point at most m, with room to spare.
-      Then neither the cap, the clamp nor the floor can act, and exp and a
-      multiply give ``_prox``'s point bit for bit.  A step that fails on up
-      first retakes it from sum y.  If it fails again, y sits near the cap,
-      and the next retake waits 1, 2, 4, ... steps, until a retake certifies
-      or a block starts.  Every other step calls ``_prox``, takes low from
-      its exact min and leaves up inf.
+      pairwise sum that set up: within d u of the exact sum, and after a
+      rescale onto the ball within (2d + 2) u of m (for a normal m; under a
+      subnormal one no step certifies).  If low' >= 2^-1022, every product
+      is normal, and a pairwise sum of d nonnegative normal products lies
+      within d u / (1 - d u) of their exact sum (Higham 2002, sections 3.1
+      and 4.2).  So up' <= m (1 - 4 (d + 1) u) puts the pairwise sum of the
+      new point at most m, with room to spare.  Then neither the cap, the
+      clamp nor the floor can act, and exp and a multiply give ``_prox``'s
+      point bit for bit; the step sets up = up'.
+      Every other step calls ``_prox``, takes low from its exact min and
+      sets up = m s if the cap acted, else s times the sum of its point.
+      Since up e^bound s > cap for any up >= m, the step after a capped
+      one is exact too, as is the step after a floor, which leaves low
+      below 1e-300.  Nothing else, block ends included, touches up.
     * SGD: a step with dL/dz = 0 and low >= 1e-300 adds a finite,
       nonnegative step to y, so it keeps low ("tamed" only while low >= 1).
       Every other step takes the exact min, which is also its floor test.
@@ -405,7 +412,6 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     n, wsum, xi_tail = 0, 0.0, 0.0
     y, nxt = rows[0], rows[1]
     up, low = float(_sum(y)) * slack, y.item(y.argmin())
-    resum_at, wait = 0, 1  # the first step that may retake up from sum y, and the next wait
     ng = np.empty_like(y)
     xg = np.empty_like(y)
     step_a = np.empty(())  # the step as a 0-d array, to scale ng without a conversion
@@ -433,28 +439,21 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
             np.multiply(ng, step_a, ng)
             if smd:
                 bound = step * abs(g_z) * x_max + gamma if low >= 1e-300 else math.inf
-                certified = False
-                if bound <= 600.0:
-                    grow = exp(bound) * slack
-                    if not up * grow <= cap and k >= resum_at:
-                        up = float(_sum(y)) * slack
-                        if up * grow <= cap:
-                            wait = 1
-                        else:  # y sits near the cap: wait longer for the next retake
-                            resum_at, wait = k + wait, 2 * wait
-                    up_next = up * grow
-                    low_next = low / grow
-                    certified = up_next <= cap and low_next >= _NORMAL
-                if certified:
+                grow = exp(bound) * slack if bound <= 600.0 else math.inf
+                up_next = up * grow
+                low_next = low / grow
+                if up_next <= cap and low_next >= _NORMAL:
                     np.exp(ng, ng)
                     np.multiply(y, ng, nxt)
                     up = up_next
                     low = low_next if low_next >= 1.0 else nxt.item(nxt.argmin())
                 else:
                     _, projected, low = _prox(y, ng, m, nxt)
-                    up = math.inf
                     if projected:
                         book_projection(k)
+                        up = m * slack
+                    else:
+                        up = float(_sum(nxt)) * slack
             else:
                 np.add(ng, y, nxt)
                 if g_z != 0.0 or not low >= keep:
@@ -474,8 +473,6 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
                 run.flush(n, wsum, xi_tail)
                 n = 0
                 y = rows[0]
-                up, low = float(_sum(y)) * slack, y.item(y.argmin())
-                resum_at, wait = 0, 1
             nxt = rows[n + 1]
         if diverged:
             break

@@ -624,6 +624,23 @@ def test_cmd_compare_outputs(tmp_path):
         assert float(row["gap_k90_median"]) >= 0 or math.isinf(float(row["gap_k90_median"]))
 
 
+def test_cmd_compare_runs_dmd_for_samples_times_epochs_iterations(tmp_path, monkeypatch):
+    """``compare`` takes "dmd" as an optimizer; its run reads the
+    replication's step count, samples * epochs, from ``iterations``."""
+    doc = dict(compare_config(), optimizers=["dmd", "smd"], samples=300, replications=1)
+    seen, dmd_run = [], md.dmd_run
+
+    def counted(ctx, cfg, **kwargs):
+        seen.append(cfg.iterations)
+        return dmd_run(ctx, cfg, **kwargs)
+    monkeypatch.setattr(md, "dmd_run", counted)
+    out = tmp_path / "cmp"
+    assert bc.main(["compare", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    with open(out / "replications.csv", newline="") as fh:
+        assert [r["optimizer"] for r in csv.DictReader(fh)] == ["dmd", "smd"]
+    assert seen == [300]
+
+
 @pytest.mark.parametrize("measure", [{"kind": "es", "alpha": 0.95}, {"kind": "mad"},
                                      {"kind": "variantile"}], ids=["es", "mad", "variantile"])
 def test_cmd_compare_deterministic_and_threaded(tmp_path, measure):

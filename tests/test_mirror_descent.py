@@ -1,9 +1,10 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from rbmd import market_models as mm
@@ -172,6 +173,25 @@ def test_config_rejects_start_outside_ball():
     with pytest.raises(ValueError):
         md.OptimizerConfig(m_cap=10.0, schedule=md.StepSchedule.constant(1.0),
                            iterations=10, y0=np.ones(2), tail_fraction=0.0)
+
+
+def test_iterations_is_optional_and_only_dmd_reads_it(small_es_setup):
+    """The stochastic runs ignore ``iterations``: without it they give the
+    bytes of the same run with ``iterations=1``.  DMD requires it, and a
+    given count must be positive."""
+    ctx, samples = small_es_setup
+    base = dict(m_cap=100.0, schedule=md.StepSchedule.power(1.0, 0.65),
+                y0=rb.default_y0(ctx.model, 100.0), record_every=50)
+    without, with_one = md.OptimizerConfig(**base), md.OptimizerConfig(**base, iterations=1)
+    assert without.iterations is None
+    for run in (md.smd_run, partial(md.sgd_run, "tamed"), partial(md.sgd_run, "classical")):
+        got, want = run(ctx, samples[:500], without), run(ctx, samples[:500], with_one)
+        for name in vars(want):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    with pytest.raises(ValueError, match="iterations"):
+        md.dmd_run(ctx, without)
+    with pytest.raises(ValueError, match="iterations"):
+        md.OptimizerConfig(**base, iterations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +458,30 @@ def test_prox_cap_test_matches_plain_prox_at_the_cap(d, scale):
                 assert np.float64(ymin).tobytes() == want.min().tobytes()
 
 
+@given(d=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       reach=st.floats(0.0, 800.0), log_y=st.floats(-300.0, 300.0),
+       share=st.floats(1e-300, 1.0, exclude_max=True))
+@example(d=50, seed=0, reach=800.0, log_y=300.0, share=0.5)  # fallback
+@example(d=300, seed=1, reach=0.0, log_y=0.0, share=0.999)  # rescale of even products
+def test_capped_prox_sum_stays_within_the_slack(d, seed, reach, log_y, share):
+    """After a rescale onto the ball, the pairwise sum of ``_prox``'s point
+    is at most m (1 + (d + 8192) 2^-52): the bound on sum y a capped step
+    leaves ``_stochastic_loop``'s certificate.  Exponents up to +-800 (the
+    clamp cuts them to 700), y up to 1e305 and caps below the plain sum; a
+    sum that overflows takes the log-domain fallback.  m is normal: under a
+    subnormal m, min y < 2^-1022 and no step certifies."""
+    rng = np.random.default_rng(seed)
+    y = 10.0 ** (log_y + rng.uniform(-5.0, 5.0, d))
+    e = rng.uniform(-reach, reach, d)
+    with np.errstate(all="ignore"):
+        s = float(np.add.reduce(y * np.exp(np.clip(e, -md._CLAMP, md._CLAMP))))
+        m = s * share if math.isfinite(s) else float(y.sum()) * share
+        assume(m >= 2.0 ** -1022)
+        w, projected, _ = md._prox(y, e, m)
+    assume(projected)
+    assert float(np.add.reduce(w)) <= m * (1.0 + (d + 8192) * 2.0 ** -52)
+
+
 def _gap_trace(ctx, ys):
     """The gaps a run without a reference records at its recorded (k, y):
     Gamma(y), inf once y left the open orthant, nan where the objective
@@ -561,6 +605,7 @@ _MEASURES = {"es": rl.MeasureSpec.expected_shortfall(0.95), "mad": rl.MeasureSpe
 # "samples" draws (60) and "record_every" (7)).  Besides the oracle's branches,
 # "skip" is an SMD step that certifies the cap inactive and calls no ``_prox``,
 # "skip, then cap" a capped step after one in the same record interval,
+# "cap, then skip" a skipped step after a capped one,
 # "kappa 1" min y >= 1 at every iterate, "cross" min y crossing 1 between two
 # records and "long records" records further apart than ``_BLOCK``.
 _ORACLE_GRID = [
@@ -603,6 +648,9 @@ _ORACLE_GRID = [
      {"y0": 0.3, "samples": 200, "record_every": 300}),
     ("classical", "es", 3, ("power", 1.0), 100.0, {"kappa 1", "long records"},
      {"y0": 0.3, "samples": 200, "record_every": 300}),
+    # a start on the cap: capped steps, then certified ones once y leaves the cap
+    ("smd", "es", 3, ("power", 1.0), 100.0, {"cap", "cap, then skip"},
+     {"y0": 1.0, "samples": 200}),
 ]
 # ids from the six columns and the row index, and the set-up's when a row has one
 _ORACLE_CASES = [pytest.param(*row[:6], row[6] if len(row) == 7 else {},
@@ -671,6 +719,8 @@ def _certificate_hits(rule, ctx, samples, cfg, steps, prox_calls):
         if any(j in skipped for k, capped in prox_calls if capped
                for j in range(k - (k - 1) % cfg.record_every, k)):
             hits.add("skip, then cap")
+        if any(capped and k < max(skipped, default=0) for k, capped in prox_calls):
+            hits.add("cap, then skip")
     return hits
 
 

@@ -69,6 +69,19 @@ def test_gamma_value_rejects_boundary(es_ctx):
         rb.gamma_value(es_ctx, np.array([1.0, 0.0, 1.0]))
 
 
+def test_overflowing_portfolio_raises_value_error_without_a_warning(es_ctx):
+    """A finite portfolio whose loss-law products overflow is rejected with
+    ``ModelError``, a ValueError, and numpy warns nothing first (RuntimeWarning
+    is an error in this suite)."""
+    y = np.full(3, 1e200)
+    with pytest.raises(mm.ModelError):
+        mm.portfolio_loss_params(es_ctx.model, y)
+    with pytest.raises(ValueError):
+        rb.gamma_value(es_ctx, y)
+    with pytest.raises(ValueError):
+        es_ctx.outer_gradient(y)
+
+
 def test_gamma_strict_convexity_probe(es_ctx):
     rng = np.random.default_rng(1)
     for _ in range(200):
@@ -87,14 +100,12 @@ _BATCH_MEASURES = {"es": rl.MeasureSpec.expected_shortfall(0.95), "mad": rl.Meas
 
 
 def _scalar_gammas(ctx, ys):
-    """gamma_value row by row, as the runs called it (a row whose scale
-    overflows warns): inf where it raises ValueError, nan where it raises
-    NumericsError."""
+    """gamma_value row by row, as the runs called it: inf where it raises
+    ValueError, nan where it raises NumericsError."""
     out = []
     for y in ys:
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                out.append(rb.gamma_value(ctx, y))
+            out.append(rb.gamma_value(ctx, y))
         except ValueError:
             out.append(math.inf)
         except mm.NumericsError:
