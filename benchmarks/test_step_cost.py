@@ -145,7 +145,7 @@ def test_prox_cost(benchmark, d, cap):
     def run():
         for _ in range(N_PROX):
             np.copyto(e, e0)
-            projected = md._prox(y, e, m, out)[1]
+            projected = not md._prox(y, e, m, out)[1] <= m
         return projected
 
     projected = benchmark.pedantic(run, rounds=5, warmup_rounds=1)

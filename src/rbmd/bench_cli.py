@@ -153,10 +153,10 @@ def _measure(doc: dict) -> rl.MeasureSpec:
         raise ConfigError(f"bad measure: {exc}") from exc
 
 
-def _optimizer_config(schedule: dict, **knobs) -> md.OptimizerConfig:
+def _optimizer_config(gamma0: float, beta: float, **knobs) -> md.OptimizerConfig:
     """OptimizerConfig from config values, whose ValueError is a ConfigError."""
     try:
-        return md.OptimizerConfig(schedule=md.StepSchedule(**schedule), **knobs)
+        return md.OptimizerConfig(schedule=md.StepSchedule(gamma0, beta), **knobs)
     except ValueError as exc:
         raise ConfigError(f"bad optimizer config: {exc}") from exc
 
@@ -238,8 +238,10 @@ class ExperimentConfig:
         y0 = np.array(opt["y0"]) if "y0" in opt else rb.default_y0(model, m_cap)
         if y0.size != d:
             raise ConfigError("optimizer.y0 dimension mismatch")
+        schedule = opt["schedule"]  # "constant" is beta = 0, whatever beta it gives
         return _optimizer_config(
-            opt["schedule"], m_cap=m_cap, y0=y0,
+            schedule["gamma0"], 0.0 if schedule["kind"] == "constant" else schedule["beta"],
+            m_cap=m_cap, y0=y0,
             iterations=opt["iterations"] if "iterations" in opt else self.samples,
             epochs=opt["epochs"], xi0=opt["xi0"], record_every=opt["record_every"],
             tail_fraction=opt["tail_fraction"], grad_tol=opt.get("grad_tol"))
@@ -423,9 +425,8 @@ def run_replication(config: ExperimentConfig, d: int, index: int):
         key, table = (("classical_gamma0", CLASSICAL_GAMMA0) if name == "sgd-classical"
                       else ("tamed_gamma0", TAMED_GAMMA0))
         gamma0 = opt[key] if key in opt else table[min(table, key=lambda k: abs(k - d))]
-        cfg = _optimizer_config({"kind": "power", "gamma0": gamma0, "beta": opt["beta"]},
-                                m_cap=m_cap, iterations=total, y0=y0, epochs=opt["epochs"],
-                                record_every=max(1, total // 10))
+        cfg = _optimizer_config(gamma0, opt["beta"], m_cap=m_cap, iterations=total, y0=y0,
+                                epochs=opt["epochs"], record_every=max(1, total // 10))
         result = _execute_run(name, ctx, samples, cfg, gamma_star)
         gaps = _checkpoint_gaps(result.gap_trace, total)
         final_gap = result.gap_trace[-1][1]

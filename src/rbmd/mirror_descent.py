@@ -33,34 +33,30 @@ _sum = np.add.reduce  # the reduction ndarray.sum calls, without its Python wrap
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step sequence: gamma_n = gamma0 (constant) or gamma0 * n^-beta."""
+    """Step sequence gamma_n = gamma0 * n^-beta, beta in [0, 1].  beta = 0 is
+    the constant step: n ** -0.0 is exactly 1.0, so every step is gamma0."""
 
-    kind: str
     gamma0: float
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "power"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not (self.gamma0 > 0.0):
             raise ValueError("gamma0 must be positive")
-        if self.kind == "power" and not (0.0 <= self.beta <= 1.0):
+        if not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
 
     @classmethod
     def constant(cls, gamma0: float) -> "StepSchedule":
-        return cls("constant", gamma0)
+        return cls(gamma0)
 
     @classmethod
     def power(cls, gamma0: float, beta: float) -> "StepSchedule":
-        return cls("power", gamma0, beta)
+        return cls(gamma0, beta)
 
 
 def step_size(schedule: StepSchedule, n: int) -> float:
     if n < 1:
         raise ValueError("step index starts at 1")
-    if schedule.kind == "constant":
-        return schedule.gamma0
     return schedule.gamma0 * float(n) ** -schedule.beta
 
 
@@ -136,18 +132,18 @@ class RunResult:
 def _prox(y: np.ndarray, e: np.ndarray, m: float, out=None):
     """Entropic prox y * exp(e), rescaled onto the l1 ball of radius m when its
     sum exceeds m, written to ``out`` (a new array when None, never y); e is
-    overwritten.  Returns the new point, whether the cap was active, and its
-    min.  The output is always finite and strictly positive: exponents are
-    clamped to +-_CLAMP, a sum that overflows is rescaled in the log domain
-    and underflows are floored to _TINY.  The min is ``w[argmin]``: the exact
-    minimum, as a reduction gives, but for which zero it returns when +0 and
-    -0 tie; a zero is floored to _TINY either way."""
+    overwritten.  Returns the new point w, the pairwise sum s of y * exp(e),
+    which is w's unless the cap or the floor acted, and w's min; the cap
+    acted iff ``not s <= m``.  w is always finite and strictly positive:
+    exponents are clamped to +-_CLAMP, a sum that overflows (s inf) is
+    rescaled in the log domain and underflows are floored to _TINY.  The
+    min is ``w[argmin]``: the exact minimum, as a reduction gives, but for
+    which zero it returns when +0 and -0 tie; a zero is floored either way."""
     np.maximum(e, -_CLAMP, out=e)
     np.minimum(e, _CLAMP, out=e)
     np.exp(e, out=e)
     w = np.multiply(y, e, out=out)
     s = float(_sum(w))
-    projected = not s <= m
     if not math.isfinite(s):
         # log-domain fallback: only reachable for extreme caps/overflow
         np.log(y, out=w)
@@ -155,13 +151,13 @@ def _prox(y: np.ndarray, e: np.ndarray, m: float, out=None):
         w -= w.max()
         np.exp(w, out=w)
         w *= m / w.sum()
-    elif projected:
+    elif not s <= m:
         w *= m / s
     ymin = w.item(w.argmin())
     if ymin < _TINY:  # an exp or a rescale underflowed to 0
         np.maximum(w, _TINY, out=w)
         ymin = _TINY
-    return w, projected, ymin
+    return w, s, ymin
 
 
 def prox_map(y: np.ndarray, v: np.ndarray, m: float) -> np.ndarray:
@@ -217,7 +213,6 @@ class _Run:
         self.wacc = np.zeros_like(y0)
         self.wsum = 0.0
         self.tail_acc = np.zeros_like(y0)
-        self.tail_n = 0
         self.xi_tail = 0.0
         self.min_under = float(y0.min())
         self.pending = []  # (row, k, xi, step sum) of the block's records
@@ -247,7 +242,6 @@ class _Run:
             acc[first - 1] = self.tail_acc
             acc[first:n + 1] = block[first:n + 1]
             np.add.reduce(acc[first - 1:n + 1], axis=0, out=self.tail_acc)
-            self.tail_n += n + 1 - first
         least = float(np.fmin.reduce(np.minimum.reduce(block[1:n + 1], axis=1)))
         if least < self.min_under:
             self.min_under = least
@@ -277,6 +271,7 @@ class _Run:
         loss law overflowed) is diverged, and a diverged run's trace ends with
         one ``(iterations, inf)``."""
         y = self.rows[0].copy()
+        tail_n = max(0, self.k0 - self.tail_start + 1)  # booked steps from tail_start on
         if not diverged and (not self.y_trace or self.y_trace[-1][0] != iterations):
             self._book(iterations, self.rows[0], self.wacc, self.wsum, xi)
         gaps = rb.gamma_values(self.ctx, [y_k for _, y_k in self.y_trace]) - self.base
@@ -288,9 +283,9 @@ class _Run:
         return RunResult(
             y_final=y, xi_final=math.nan if xi is None else xi,
             y_weighted_avg=self.wacc / self.wsum if self.wsum > 0.0 else y.copy(),
-            y_tail_avg=self.tail_acc / self.tail_n if self.tail_n > 0 else y.copy(),
+            y_tail_avg=self.tail_acc / tail_n if tail_n > 0 else y.copy(),
             xi_tail_avg=(math.nan if xi is None
-                         else self.xi_tail / self.tail_n if self.tail_n > 0 else xi),
+                         else self.xi_tail / tail_n if tail_n > 0 else xi),
             gap_trace=trace, min_underbar_y=self.min_under, diverged=diverged,
             iterations=iterations, grad_norm=grad_norm, gamma_sum=self.wsum,
             n_projections=len(self.projection_iters), projection_iters=self.projection_iters,
@@ -324,11 +319,11 @@ def dmd_run(ctx: rb.ObjectiveContext, cfg: OptimizerConfig,
         if k == cfg.iterations or cfg.grad_tol is not None and grad_norm <= cfg.grad_tol:
             break
         gamma = step_size(cfg.schedule, k + 1)
-        y, projected, _ = _prox(y, tg * -gamma, cfg.m_cap, rows[n + 1])
+        y, s, _ = _prox(y, tg * -gamma, cfg.m_cap, rows[n + 1])
         gammas[n] = gamma
         n += 1
         wsum += gamma
-        if projected:
+        if not s <= cfg.m_cap:
             run.projection_iters.append(k + 1)
         if k + 1 == record_at:
             record_at = run.record(n, k + 1, None, wsum)
@@ -347,7 +342,8 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
 
     Every rule builds ng = -grad_y = b/y + X dL/dz in one reused buffer and
     steps along step * ng, with step = gamma * kappa, kappa = min(min y, 1)
-    (gamma for "classical").  SMD takes the entropic prox
+    (gamma for "classical") and gamma = gamma0 k^-beta at step k, as
+    ``step_size`` computes it.  SMD takes the entropic prox
     ``_prox(y, step * ng)``; the SGD baselines take y + step * ng and reset
     nonpositive coordinates to ``_SGD_FLOOR``.  Either writes the new iterate
     straight into the run's next block row.  The step sizes, the step count
@@ -379,10 +375,12 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
       clamp nor the floor can act, and exp and a multiply give ``_prox``'s
       point bit for bit; the step sets up = up'.
       Every other step calls ``_prox``, takes low from its exact min and
-      sets up = m s if the cap acted, else s times the sum of its point.
-      Since up e^bound s > cap for any up >= m, the step after a capped
-      one is exact too, as is the step after a floor, which leaves low
-      below 1e-300.  Nothing else, block ends included, touches up.
+      sets up = m s if the cap acted, else s times the pairwise sum
+      ``_prox`` returns, which is its point's sum.  Since up e^bound s >
+      cap for any up >= m, the step after a capped one is exact too, as is
+      the step after a floor, which leaves low = _TINY < 1e-300; after a
+      floor the returned sum is not the floored point's, but that next
+      step sets up anew.  Nothing else, block ends included, touches up.
     * SGD: a step with dL/dz = 0 and low >= 1e-300 adds a finite,
       nonnegative step to y, so it keeps low ("tamed" only while low >= 1).
       Every other step takes the exact min, which is also its floor test.
@@ -416,7 +414,6 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
     xg = np.empty_like(y)
     step_a = np.empty(())  # the step as a 0-d array, to scale ng without a conversion
     diverged = False
-    constant = cfg.schedule.kind == "constant"
     gamma0 = cfg.schedule.gamma0
     beta = cfg.schedule.beta
     k = 0
@@ -427,7 +424,7 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
             if not (math.isfinite(z) and math.isfinite(xi)):
                 diverged = True
                 break
-            gamma = gamma0 if constant else gamma0 * float(k) ** -beta
+            gamma = gamma0 * float(k) ** -beta
             g_xi, g_z = grads(xi, z)
             xi = xi - gamma * g_xi
             np.divide(b, y, ng)  # out passed by position: a keyword costs a tenth more
@@ -448,12 +445,11 @@ def _stochastic_loop(ctx, samples, cfg, gamma_star, rule):
                     up = up_next
                     low = low_next if low_next >= 1.0 else nxt.item(nxt.argmin())
                 else:
-                    _, projected, low = _prox(y, ng, m, nxt)
-                    if projected:
+                    _, ysum, low = _prox(y, ng, m, nxt)
+                    if not ysum <= m:
                         book_projection(k)
-                        up = m * slack
-                    else:
-                        up = float(_sum(nxt)) * slack
+                        ysum = m
+                    up = ysum * slack
             else:
                 np.add(ng, y, nxt)
                 if g_z != 0.0 or not low >= keep:

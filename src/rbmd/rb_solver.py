@@ -99,17 +99,9 @@ class ObjectiveContext:
         return self.model.d
 
     def _xi_star(self, params: mm.LossLawParams) -> float:
-        """The minimizing xi of E[L(xi, Z)], from its first-order condition:
-        the alpha quantile (VaR) for expected shortfall, the a/(a+b) quantile
-        for p = 1 (Koenker and Bassett 1978) and the a^2/(a^2+b^2) expectile
-        for p = 2 (Newey and Powell 1987)."""
-        m = self.measure
-        if m.is_es:
-            return mm.var_exact(params, m.alpha)
-        a, b = m.a_plus, m.b_minus
-        if m.p_power == 1:
-            return mm.var_exact(params, a / (a + b))
-        return mm.expectile(params, a * a / (a * a + b * b))
+        """The minimizing xi of E[L(xi, Z)]: the measure's ``xi_rule``."""
+        level, expectile = self.measure.xi_rule
+        return (mm.expectile if expectile else mm.var_exact)(params, level)
 
     # -- outer objective g(r(y)) ------------------------------------------
 
@@ -133,10 +125,9 @@ class ObjectiveContext:
         if m.is_es:
             values = mb.es_rows(comps, m.alpha)
         else:
-            a, b = m.a_plus, m.b_minus
-            xi = (mb.var_rows(comps, a / (a + b)) if m.p_power == 1
-                  else mb.expectile_rows(comps, a * a / (a * a + b * b)))
-            values = mb.expected_power_loss_rows(comps, a, b, m.p_power, xi)
+            level, expectile = m.xi_rule
+            xi = (mb.expectile_rows if expectile else mb.var_rows)(comps, level)
+            values = mb.expected_power_loss_rows(comps, m.a_plus, m.b_minus, m.p_power, xi)
         out = np.full(len(ok), math.inf)
         out[ok] = values
         return out

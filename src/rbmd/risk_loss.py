@@ -74,6 +74,17 @@ class MeasureSpec:
     def is_es(self) -> bool:
         return self.kind == EXPECTED_SHORTFALL
 
+    @property
+    def xi_rule(self) -> tuple[float, bool]:
+        """(level, expectile) of the minimizing xi of E[L(xi, Z)], from its
+        first-order condition: the alpha quantile (VaR) for expected
+        shortfall, the a/(a+b) quantile for p = 1 (Koenker and Bassett 1978)
+        and the a^2/(a^2+b^2) expectile for p = 2 (Newey and Powell 1987)."""
+        a, b = self.a_plus, self.b_minus
+        if self.is_es or self.p_power == 1:
+            return (self.alpha if self.is_es else a / (a + b)), False
+        return a * a / (a * a + b * b), True
+
 
 def _require_finite(*values: float) -> None:
     for v in values:

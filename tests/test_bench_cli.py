@@ -462,6 +462,23 @@ def test_cmd_run_without_reference(tmp_path):
     assert "trace.gap" not in series and "trace.xi" in series
 
 
+def test_constant_schedule_ignores_beta(tmp_path):
+    """A "constant" schedule is beta = 0: a given beta, even one that a
+    "power" schedule rejects, is accepted and changes nothing."""
+    traces = []
+    for schedule in ({"kind": "constant", "gamma0": 0.5},
+                     {"kind": "constant", "gamma0": 0.5, "beta": 5}):
+        doc = run_config(tmp_path)
+        doc["optimizer"].update(schedule=schedule, epochs=1, record_every=100)
+        doc["samples"] = 600
+        out = tmp_path / f"run{len(traces)}"
+        assert bc.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+    with open(out / "trace.csv", newline="") as fh:
+        assert {row["gamma"] for row in csv.DictReader(fh)} == {bc._fmt(0.5)}
+
+
 def test_cmd_run_dmd(tmp_path):
     doc = run_config(tmp_path)
     doc["optimizer"] = {

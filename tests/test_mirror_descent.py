@@ -40,11 +40,20 @@ def test_step_size_values():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        md.StepSchedule("power", 0.0, 0.5)
+        md.StepSchedule(0.0, 0.5)
     with pytest.raises(ValueError):
-        md.StepSchedule("power", 1.0, 1.5)
+        md.StepSchedule(1.0, 1.5)
     with pytest.raises(ValueError):
-        md.StepSchedule("geometric", 1.0)
+        md.StepSchedule(1.0, -0.25)
+
+
+def test_constant_schedule_is_beta_zero():
+    """A constant step is the power schedule at beta = 0: the same value,
+    and the same step at every index, as n ** -0.0 is exactly 1.0."""
+    for gamma0 in (0.3, 1.0, 1e305):
+        assert md.StepSchedule.constant(gamma0) == md.StepSchedule.power(gamma0, 0.0)
+        for n in (1, 7, 2 ** 53 + 1):
+            assert md.step_size(md.StepSchedule.constant(gamma0), n) == gamma0
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +201,22 @@ def test_iterations_is_optional_and_only_dmd_reads_it(small_es_setup):
         md.dmd_run(ctx, without)
     with pytest.raises(ValueError, match="iterations"):
         md.OptimizerConfig(**base, iterations=0)
+
+
+def test_runs_equal_under_constant_and_beta_zero_schedules(small_es_setup):
+    """SMD, both SGD baselines and DMD give the same bytes on
+    ``StepSchedule.constant(g)`` and on ``StepSchedule.power(g, 0.0)``; the
+    cap of 10 makes SMD and DMD steps capped."""
+    ctx, samples = small_es_setup
+    y0 = rb.default_y0(ctx.model, 10.0)
+    runs = (md.smd_run, partial(md.sgd_run, "tamed"), partial(md.sgd_run, "classical"),
+            lambda ctx, _, cfg: md.dmd_run(ctx, cfg))
+    for run in runs:
+        got, want = (run(ctx, samples[:2000], md.OptimizerConfig(
+            m_cap=10.0, schedule=schedule, y0=y0, iterations=60, record_every=50))
+            for schedule in (md.StepSchedule.constant(0.7), md.StepSchedule.power(0.7, 0.0)))
+        for name in vars(want):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +448,8 @@ def _doubles_around(s, n):
 @pytest.mark.parametrize("scale", ["unit", "tiny", "subnormal", "ties", "huge", "overflow"])
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 64, 127, 128, 129, 255, 256, 300])
 def test_prox_cap_test_matches_plain_prox_at_the_cap(d, scale):
-    """``_prox`` returns the plain prox's point, cap flag and min, bit for
-    bit, for caps m a few doubles either side of the plain sum: d past numpy's
+    """``_prox`` returns the plain prox's point and min, bit for bit, and a
+    sum s whose test ``not s <= m`` is the plain prox's cap flag, for caps m a few doubles either side of the plain sum: d past numpy's
     8-accumulator blocks, sums near 1e-300 with subnormal products, sums
     below the normal range, subnormal products that tie halfway, sums near
     the largest double, and exponents the clamp cuts to 700 whose products
@@ -452,9 +477,9 @@ def test_prox_cap_test_matches_plain_prox_at_the_cap(d, scale):
             caps = _doubles_around(s, 6) if math.isfinite(s) else [1e-3, 1.0, 1e6, 1e300]
             for m in caps:
                 want, want_projected = _plain_prox(y, v.copy(), m)
-                got, projected, ymin = md._prox(y, -v, m)
+                got, got_s, ymin = md._prox(y, -v, m)
                 assert got.tobytes() == want.tobytes(), (m, s)
-                assert projected == want_projected, (m, s)
+                assert (not got_s <= m) is want_projected, (m, s)
                 assert np.float64(ymin).tobytes() == want.min().tobytes()
 
 
@@ -477,9 +502,30 @@ def test_capped_prox_sum_stays_within_the_slack(d, seed, reach, log_y, share):
         s = float(np.add.reduce(y * np.exp(np.clip(e, -md._CLAMP, md._CLAMP))))
         m = s * share if math.isfinite(s) else float(y.sum()) * share
         assume(m >= 2.0 ** -1022)
-        w, projected, _ = md._prox(y, e, m)
-    assume(projected)
+        w, s, _ = md._prox(y, e, m)
+    assume(not s <= m)
     assert float(np.add.reduce(w)) <= m * (1.0 + (d + 8192) * 2.0 ** -52)
+
+
+@given(d=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       reach=st.floats(0.0, 800.0), log_y=st.floats(-330.0, 300.0),
+       room=st.floats(1.0, 4.0))
+@example(d=300, seed=1, reach=0.0, log_y=0.0, room=1.0)  # m is the sum itself
+def test_uncapped_prox_returns_its_point_sum(d, seed, reach, log_y, room):
+    """When neither the cap nor the floor acts, the sum s ``_prox`` returns
+    is its point's pairwise sum, bit for bit: the bound on sum y that an
+    uncapped exact step leaves ``_stochastic_loop``'s certificate, which no
+    longer sums the point itself.  Caps from the plain sum to 4 times it,
+    exponents up to +-800 and y from subnormal to 1e305."""
+    rng = np.random.default_rng(seed)
+    y = np.maximum(10.0 ** (log_y + rng.uniform(-5.0, 5.0, d)), md._TINY)
+    e = rng.uniform(-reach, reach, d)
+    with np.errstate(all="ignore"):
+        m = float(np.add.reduce(y * np.exp(np.clip(e, -md._CLAMP, md._CLAMP)))) * room
+        assume(m > 0.0 and math.isfinite(m))
+        w, s, ymin = md._prox(y, e, m)
+    assume(s <= m and ymin > md._TINY)
+    assert np.float64(s).tobytes() == np.add.reduce(w).tobytes()
 
 
 def _gap_trace(ctx, ys):
@@ -687,10 +733,10 @@ def prox_calls(monkeypatch):
             return grads(xi, z)
         return step
 
-    def logged(*args, **kwargs):
-        out = prox(*args, **kwargs)
-        calls.append((steps[0], out[1]))
-        return out
+    def logged(y, e, m, out=None):
+        w, s, ymin = prox(y, e, m, out)
+        calls.append((steps[0], not s <= m))
+        return w, s, ymin
 
     monkeypatch.setattr(rl, "make_gradient_fn", counted)
     monkeypatch.setattr(md, "_prox", logged)
