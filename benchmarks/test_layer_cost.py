@@ -18,11 +18,11 @@ with ``sample_returns`` from the synthetic (seed 2024) models at d = 3, 10 and
 50 and records ``extra_info["draws_per_s"]`` and ``extra_info["peak_mb"]``,
 the ``tracemalloc`` peak of one call in MiB, result included.
 ``test_reference_cost`` times ``reference_portfolio``: ES 95% on the README
-mixture at tol 1e-10, on a synthetic d = 10 model (seed 2024) and on the desk
-model at tol 1e-8, MAD on the README mixture at tol 1e-5 and the 0.75
-variantile on it at tol 1e-10; it records the median seconds and the Newton
-step count.  These files sit outside ``tests/`` and are not part of the
-default test run;
+mixture at tol 1e-10, on a synthetic d = 10 model (seed 2024), on the desk
+model and on synthetic d = 250 and 1,000 models (seed 7) at tol 1e-8, MAD on
+the README mixture at tol 1e-5 and the 0.75 variantile on it at tol 1e-10; it
+records the median seconds and the Newton step count.  These files sit outside
+``tests/`` and are not part of the default test run;
 ``PYTHONPATH=src python -m pytest benchmarks --benchmark-disable`` runs every
 case once as a smoke test.
 """
@@ -58,6 +58,8 @@ CASES = {
     ("variantile", "single-t"): (rl.MeasureSpec.variantile(0.75), CENTRED_T),
     ("es", "d10"): (rl.MeasureSpec.expected_shortfall(0.95), generate_model(10, 2024)),
     ("es", "desk"): (rl.MeasureSpec.expected_shortfall(0.95), DESK_MODEL),
+    ("es", "d250"): (rl.MeasureSpec.expected_shortfall(0.95), generate_model(250, 7)),
+    ("es", "d1000"): (rl.MeasureSpec.expected_shortfall(0.95), generate_model(1000, 7)),
 }
 
 
@@ -139,9 +141,11 @@ def test_sampling_cost(benchmark, d):
 
 
 @pytest.mark.parametrize("case, tol", [(("es", "mixture"), 1e-10), (("es", "d10"), 1e-8),
-                                       (("es", "desk"), 1e-8), (("mad", "mixture"), 1e-5),
+                                       (("es", "desk"), 1e-8), (("es", "d250"), 1e-8),
+                                       (("es", "d1000"), 1e-8), (("mad", "mixture"), 1e-5),
                                        (("variantile", "mixture"), 1e-10)],
-                         ids=["es-d3", "es-d10", "es-d50", "mad-d3", "variantile-d3"])
+                         ids=["es-d3", "es-d10", "es-d50", "es-d250", "es-d1000", "mad-d3",
+                              "variantile-d3"])
 def test_reference_cost(benchmark, case, tol):
     ctx = context(case)
     report = benchmark.pedantic(rb.reference_portfolio, args=(ctx, tol), rounds=3,

@@ -445,7 +445,11 @@ def _t_tail_ex2(q: float, nu: float) -> float:
 
 def upper_moments(q: float, gaussian: bool, nu: float, k: int) -> tuple:
     """(E[(T - q)_+^k], E[T (T - q)_+^k]) of the standardized component T for
-    k in {0, 1}, with (T - q)_+^0 = 1{T > q}; a t component needs nu > k + 1."""
+    k in {-1, 0, 1}, with (T - q)_+^0 = 1{T > q} and (T - q)_+^-1 the point mass at
+    q (order k - 1 is minus the q-derivative of order k); a t component needs nu > k + 1."""
+    if k < 0:
+        f = _norm_pdf(q) if gaussian else _t_pdf(q, nu)
+        return f, q * f
     if gaussian:
         sf, ex1 = _norm_sf(q), _norm_pdf(q)
     elif nu <= k + 1:

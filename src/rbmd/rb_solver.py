@@ -35,7 +35,6 @@ __all__ = [
     "divergence_flag",
 ]
 
-_HESS_STEP = 1e-7  # forward-difference step of the reference Hessian, relative to y_j
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the reference line search
 _ARMIJO_HALVINGS = 60  # backtracking steps before the line search counts as exhausted
 # Rounding of a computed Gamma, relative to max(1, |Gamma|): its two terms are
@@ -138,39 +137,56 @@ class ObjectiveContext:
 
     # -- gradients ----------------------------------------------------------
 
-    def outer_gradient(self, y: np.ndarray) -> np.ndarray:
+    def outer_gradient(self, y: np.ndarray, hessian: bool = False):
         """Gradient of g(r(.)) in closed form: E[h(Z) (-X)] with h = dL/dz(xi*, .),
         by the envelope theorem at xi* (for expected shortfall this is
-        E[-X | Z >= VaR], Tasche 1999).
+        E[-X | Z >= VaR], Tasche 1999); with ``hessian`` set, (gradient, Hessian).
 
-        In component c, Z = loc_c + s_c T and E[-X | T] = -mu_c + (Lambda_c y / s_c) T
-        is linear in T, so each component needs only E_c[h] and E_c[T h].  With
-        q = (xi* - loc_c) / s_c these are the ``mm.upper_moments`` of order 0 at q
-        over (1 - alpha) for expected shortfall; for a deviation measure,
-        h = p s^(p-1) (a^p (T - q)_+^(p-1) - b^p (q - T)_+^(p-1)), whose second
-        branch is the first one for -T at -q, as the standardized law is symmetric.
+        In component c, Z = loc_c + s_c T and E[-X | T] = -mu_c + a T with
+        a = Lambda_c y / s_c, so each component needs only h0 = E_c[h] and h1 = E_c[T h].
+        With q = (xi* - loc_c) / s_c and h = p s^(p-1) (a+^p (T - q)_+^(p-1) -
+        b-^p (q - T)_+^(p-1)) (expected shortfall: p = a+ = 1, b- = 0, over 1 - alpha)
+        these are ``mm.upper_moments`` of order p - 1 at q and at -q, as the
+        standardized law is symmetric; those of order p - 2 give their q-derivatives
+        h0q, h1q.  At fixed xi the Hessian is G = sum_c w_c / s_c [(h1q a - h0q mu_c)
+        (mu_c - q a)' + h1 Lambda_c + ((p - 2) h1 a - (p - 1) h0 mu_c) a'], and xi*
+        moves by the implicit derivative of E[h] = 0 (grad xi* = E[-X | Z = VaR] for
+        expected shortfall, Gourieroux, Laurent and Scaillet 2000), so H = G - v v' / C
+        with v = sum_c w_c (h1q a - h0q mu_c) / s_c and C = -sum_c w_c h0q / s_c.
         """
         m = self.measure
         model = self.model
         params = mm.portfolio_loss_params(model, y)
         xi = self._xi_star(params)
-        p = m.p_power
-        ap, bp = m.a_plus ** p, m.b_minus ** p
-        grad = np.zeros(self.d)
+        p = 1 if m.is_es else m.p_power
+        ap, bp = (1.0, 0.0) if m.is_es else (m.a_plus ** p, m.b_minus ** p)
+        grad, v, hess, curv = np.zeros(self.d), np.zeros(self.d), 0.0, 0.0
         for (w, loc, scale, gauss, nu), mu, lam in zip(
                 params.components(), (model.mu1, model.mu2), (model.lambda1, model.lambda2)):
             q = (xi - loc) / scale
-            if m.is_es:
-                h0, h1 = mm.upper_moments(q, gauss, nu, 0)
-            else:
-                up0, up1 = mm.upper_moments(q, gauss, nu, p - 1)
-                down0, down1 = mm.upper_moments(-q, gauss, nu, p - 1)
-                c = p * scale ** (p - 1)
-                h0, h1 = c * (ap * up0 - bp * down0), c * (ap * up1 + bp * down1)
-            grad += w * (h1 / scale * (lam @ y) - h0 * mu)
+            c = p * scale ** (p - 1)
+            up0, up1 = mm.upper_moments(q, gauss, nu, p - 1)
+            down0, down1 = mm.upper_moments(-q, gauss, nu, p - 1) if bp else (0.0, 0.0)
+            h0, h1 = c * (ap * up0 - bp * down0), c * (ap * up1 + bp * down1)
+            ly = lam @ y
+            grad += w * (h1 / scale * ly - h0 * mu)
+            if hessian:
+                up0, up1 = mm.upper_moments(q, gauss, nu, p - 2)
+                down0, down1 = mm.upper_moments(-q, gauss, nu, p - 2) if bp else (0.0, 0.0)
+                h0q, h1q = -c * (ap * up0 + bp * down0), -c * (ap * up1 - bp * down1)
+                a = ly / scale
+                dxi = w / scale * (h1q * a - h0q * mu)
+                hess += (np.outer(dxi, mu - q * a) + w * h1 / scale * lam
+                         + np.outer(w / scale * ((p - 2) * h1 * a - (p - 1) * h0 * mu), a))
+                v += dxi
+                curv -= w * h0q / scale
+        if hessian:
+            with np.errstate(divide="ignore", invalid="ignore"):  # C = 0 leaves H non-finite
+                hess -= np.outer(v, v / curv)
         if m.is_es:
             grad /= 1.0 - m.alpha
-        return grad
+            hess /= 1.0 - m.alpha
+        return (grad, hess) if hessian else grad
 
     def risk_gradient(self, y: np.ndarray, risk: float | None = None) -> np.ndarray:
         """Gradient of r(.) itself (no outer function, no log term), by the
@@ -240,10 +256,7 @@ def normalize(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("y must be strictly positive")
-    total = y.sum()
-    if total == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return y / total
+    return y / y.sum()
 
 
 def risk_contributions(ctx: ObjectiveContext, u: np.ndarray):
@@ -321,8 +334,8 @@ def reference_portfolio(ctx: ObjectiveContext, tol: float,
     """Solve for the budget-matching portfolio to a tamed-gradient tolerance.
 
     Damped Newton on Gamma from ``default_y0`` (cap m = 100 d), in the manner
-    of Spinu (2013): the Hessian is a forward-difference Jacobian of the
-    closed-form ``outer_gradient`` (steps 1e-7 y_j), symmetrized, plus
+    of Spinu (2013): one ``outer_gradient`` call per step gives the gradient
+    and the closed-form Hessian of g(r(.)), to which the log term adds
     diag(b / y^2); each step stops at 0.9 of the distance to the orthant
     boundary and backtracks by Armijo on ``gamma_value``.  The solve stops
     once the tamed-gradient sup-norm is at most ``tol``; ``max_iterations``
@@ -339,19 +352,14 @@ def reference_portfolio(ctx: ObjectiveContext, tol: float,
     y = default_y0(ctx.model, 100.0 * ctx.d)
     value = gamma_value(ctx, y)
     for step in range(max_iterations + 1):
-        grad_outer = ctx.outer_gradient(y)
+        grad_outer, hess = ctx.outer_gradient(y, hessian=True)
         tg = tamed_gradient(ctx.budget, grad_outer, y)
         grad_norm = float(np.abs(tg).max()) if np.all(np.isfinite(tg)) else math.inf
         if grad_norm <= tol:
             return _report(ctx, y, grad_norm, step)
         if step == max_iterations:
             raise failure("step cap reached")
-        hess = np.empty((ctx.d, ctx.d))
-        for j, h in enumerate(_HESS_STEP * y):
-            probe = y.copy()
-            probe[j] += h
-            hess[:, j] = (ctx.outer_gradient(probe) - grad_outer) / h
-        hess = 0.5 * (hess + hess.T) + np.diag(b / (y * y))
+        hess += np.diag(b / (y * y))
         if not np.all(np.isfinite(hess)):
             raise failure("non-finite Hessian")
         grad = grad_outer - b / y

@@ -537,6 +537,21 @@ def test_upper_moments_match_quadrature(gaussian, nu, k):
 
 
 @pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("gaussian, nu", [(True, math.nan), (False, 2.6), (False, 30.0)],
+                         ids=["normal", "t2.6", "t30"])
+def test_upper_moments_of_order_k_minus_1_are_minus_the_q_derivative(gaussian, nu, k):
+    # order -1 is the density pair (f(q), q f(q)): the point mass at q.  The
+    # difference quotient carries the moments' rounding over h, about 1e-10.
+    for q in (-4.5, -0.7, 0.0, 0.4, 5.0):
+        h = 1e-5 * max(1.0, abs(q))
+        up, down = mm.upper_moments(q + h, gaussian, nu, k), mm.upper_moments(q - h, gaussian, nu, k)
+        for below, hi, lo in zip(mm.upper_moments(q, gaussian, nu, k - 1), up, down):
+            assert -(hi - lo) / (2.0 * h) == pytest.approx(below, rel=1e-6, abs=1e-9)
+    dens = stats.norm.pdf(0.4) if gaussian else stats.t(nu).pdf(0.4)
+    assert mm.upper_moments(0.4, gaussian, nu, -1) == pytest.approx((dens, 0.4 * dens), rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [0, 1])
 def test_upper_moments_need_nu_above_k_plus_one(k):
     for nu in (k + 1.0, k + 0.5):
         with pytest.raises(mm.NumericsError):

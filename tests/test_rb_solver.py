@@ -234,6 +234,10 @@ def test_euler_identity(case, outer, weights):
     else:
         degree, value, grad = ctx.measure.p_power, ctx.outer_value(u), ctx.outer_gradient(u)
     assert float(u @ grad) == pytest.approx(degree * value, rel=1e-7)
+    # grad g is (p - 1)-homogeneous, so H u = (p - 1) grad g: 0 for ES (p = 1)
+    grad_g, hess = ctx.outer_gradient(u, hessian=True)
+    p = 1 if ctx.measure.is_es else ctx.measure.p_power
+    assert np.abs(hess @ u - (p - 1) * grad_g).max() <= 1e-10 * np.abs(grad_g).max()
 
 
 @pytest.mark.parametrize("model", [
@@ -242,8 +246,9 @@ def test_euler_identity(case, outer, weights):
     make_bench_model(),
 ], ids=["gaussian", "single-t", "mixture"])
 def test_volatility_objective_is_the_covariance_form(model):
-    # g(r(y)) = a^2 y' Sigma y with gradient 2 a^2 Sigma y for volatility, the
-    # (a, a, 2) deviation measure, with Sigma the exact covariance of X
+    # g(r(y)) = a^2 y' Sigma y with gradient 2 a^2 Sigma y and Hessian 2 a^2 Sigma
+    # for volatility, the (a, a, 2) deviation measure, with Sigma the exact
+    # covariance of X
     ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(3), rl.MeasureSpec.volatility(), model)
     sigma = mm.covariance(model)
     a2 = ctx.measure.a_plus ** 2
@@ -252,6 +257,37 @@ def test_volatility_objective_is_the_covariance_form(model):
         y = rng.uniform(0.2, 5.0, 3)
         assert ctx.outer_value(y) == pytest.approx(a2 * float(y @ sigma @ y), rel=1e-12)
         np.testing.assert_allclose(ctx.outer_gradient(y), 2.0 * a2 * (sigma @ y), rtol=1e-12)
+        np.testing.assert_allclose(ctx.outer_gradient(y, hessian=True)[1], 2.0 * a2 * sigma,
+                                   rtol=1e-10, atol=1e-12 * np.abs(sigma).max())
+
+
+HESSIAN_CONTEXTS = {
+    **MODE_CONTEXTS,
+    **{f"{name}_d{d}": rb.ObjectiveContext(rb.RiskBudget.uniform(d), spec, bc.generate_model(d, 7))
+       for name, spec in (("es", rl.MeasureSpec.expected_shortfall(0.95)),
+                          ("dev_general_p1", rl.MeasureSpec.mad()),
+                          ("dev_general_p2", rl.MeasureSpec.variantile(0.75)))
+       for d in (10, 50)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HESSIAN_CONTEXTS))
+def test_outer_hessian_matches_gradient_differences(case):
+    """``outer_gradient(y, hessian=True)`` returns the plain call's gradient
+    bit for bit and a Hessian that is symmetric as computed, with no
+    symmetrizing, and matches central differences of the gradient."""
+    ctx = HESSIAN_CONTEXTS[case]
+    y = np.random.default_rng(12).uniform(0.5, 2.0, ctx.d)
+    grad, hess = ctx.outer_gradient(y, hessian=True)
+    assert grad.tobytes() == ctx.outer_gradient(y).tobytes()
+    scale = np.abs(hess).max()
+    assert np.abs(hess - hess.T).max() <= 1e-14 * scale
+    fd = np.empty_like(hess)
+    for j in range(ctx.d):
+        e = np.zeros(ctx.d)
+        e[j] = 1e-5 * y[j]
+        fd[:, j] = (ctx.outer_gradient(y + e) - ctx.outer_gradient(y - e)) / (2.0 * e[j])
+    assert np.abs(hess - fd).max() <= 1e-8 * scale
 
 
 @pytest.mark.parametrize("spec", [
@@ -494,6 +530,25 @@ def test_reference_d50_es_converges_at_tight_tolerance():
 
 @pytest.mark.parametrize("spec", [rl.MeasureSpec.expected_shortfall(0.95), rl.MeasureSpec.mad()],
                          ids=["es", "mad"])
+def test_reference_takes_one_gradient_call_per_newton_step(monkeypatch, spec):
+    """Each Newton step, and the final check, takes its gradient and Hessian
+    from one ``outer_gradient`` call; the report's risk contributions make one
+    more call, without the Hessian."""
+    ctx = rb.ObjectiveContext(rb.RiskBudget.uniform(10), spec, bc.generate_model(10, 2024))
+    calls = {True: 0, False: 0}
+    real = rb.ObjectiveContext.outer_gradient
+
+    def counted(self, y, hessian=False):
+        calls[hessian] += 1
+        return real(self, y, hessian)
+
+    monkeypatch.setattr(rb.ObjectiveContext, "outer_gradient", counted)
+    report = rb.reference_portfolio(ctx, tol=1e-8)
+    assert calls == {True: report.iterations + 1, False: 1}
+
+
+@pytest.mark.parametrize("spec", [rl.MeasureSpec.expected_shortfall(0.95), rl.MeasureSpec.mad()],
+                         ids=["es", "mad"])
 def test_reference_matches_mirror_descent_oracle(bench_model, spec):
     # the paper's deterministic mirror descent, run far past the reference
     # tolerance, lands on the same portfolio as the Newton solve
@@ -544,17 +599,26 @@ def test_reference_contributions_match_random_budgets(seed, d, shape):
     assert np.abs(report.contributions / report.risk - budget.b).max() <= bound
 
 
-def _nan_after_first_call(monkeypatch):
-    """Make ``outer_gradient`` return NaN from its second call on."""
-    calls = []
+def _nan_hessian(monkeypatch):
+    """Make ``outer_gradient`` return a NaN Hessian beside the true gradient."""
     real = rb.ObjectiveContext.outer_gradient
 
-    def outer_gradient(self, y):
-        calls.append(None)
-        grad = real(self, y)
-        return grad if len(calls) == 1 else np.full_like(grad, np.nan)
+    def outer_gradient(self, y, hessian=False):
+        out = real(self, y, hessian)
+        return (out[0], np.full_like(out[1], np.nan)) if hessian else out
 
     monkeypatch.setattr(rb.ObjectiveContext, "outer_gradient", outer_gradient)
+
+
+def _zero_curvature(monkeypatch):
+    """Make the standardized densities vanish, so that E[h] has zero slope in xi
+    and the implicit derivative of xi* divides by zero."""
+    real = mm.upper_moments
+
+    def upper_moments(q, gaussian, nu, k):
+        return (0.0, 0.0) if k < 0 else real(q, gaussian, nu, k)
+
+    monkeypatch.setattr(mm, "upper_moments", upper_moments)
 
 
 def _singular_solve(monkeypatch):
@@ -564,9 +628,10 @@ def _singular_solve(monkeypatch):
     monkeypatch.setattr(rb.np.linalg, "solve", solve)
 
 
-@pytest.mark.parametrize("fault, reason", [(_nan_after_first_call, "non-finite Hessian"),
+@pytest.mark.parametrize("fault, reason", [(_nan_hessian, "non-finite Hessian"),
+                                           (_zero_curvature, "non-finite Hessian"),
                                            (_singular_solve, "singular Hessian")],
-                         ids=["nan-hessian", "singular-hessian"])
+                         ids=["nan-hessian", "zero-curvature", "singular-hessian"])
 def test_reference_newton_failure_raises(es_ctx, monkeypatch, fault, reason):
     y0 = rb.default_y0(es_ctx.model, 300.0)
     start_norm = float(np.abs(rb.tamed_gradient(
@@ -578,7 +643,7 @@ def test_reference_newton_failure_raises(es_ctx, monkeypatch, fault, reason):
 
 
 def test_cmd_reference_newton_failure_exits_2(capsys, tmp_path, monkeypatch):
-    _nan_after_first_call(monkeypatch)
+    _nan_hessian(monkeypatch)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": {"inline": make_bench_model().to_dict()},
                                   "measure": {"kind": "es", "alpha": 0.95}}))
